@@ -29,12 +29,17 @@ from tracing import KERNELS, Tracer, kernel_cache_stats
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"
-SETUP_PROBES = 7
-# the best of fewer samples still follows the host's speed phases; a cli
-# pass takes about 10 s, so its runs go over --seconds to reach four passes
-MIN_PASSES = 4
+SETUP_PROBES = 9
+# the reference host, on which timings are reported: a bare interpreter
+# start takes BARE_START_S there and reference_loop REFERENCE_LOOP_S
+BARE_START_S = 0.05
+REFERENCE_LOOP_S = 0.0002
+# an op's latency is the median of one reading per pass; a cli pass takes
+# about 20 s, so a cli run holds two
+MIN_PASSES = {"algebra": 4, "certify": 4, "cli": 2}
 TRACE_ROUNDS = 3
 START_PROBES = 7
+BARE = [sys.executable, "-c", "pass"]
 
 END_TO_END = (("setup_s", "s"), ("wall_s", "s"), ("op_p50_ms", "ms"),
               ("op_p90_ms", "ms"), ("peak_rss_mb", "MB"))
@@ -72,12 +77,19 @@ class Raised:
         self.error = f"{type(exc).__name__}: {exc}"
 
 
-def run_pass(ops, tracer=None):
-    """Time every op once from cold caches; (wall seconds, latencies, outputs)."""
+def run_pass(ops, tracer=None, reference=None):
+    """Time every op once from cold caches; (wall seconds, latencies, outputs, references).
+
+    ``reference``, if given, returns seconds and is called untimed before
+    each op and once after the last, so that op i lies between
+    references i and i + 1.
+    """
     workloads.clear_caches()
-    latencies, outputs = [], []
+    latencies, outputs, references = [], [], []
     t0 = time.perf_counter()
     for op in ops:
+        if reference is not None:
+            references.append(reference())
         s = time.perf_counter()
         try:
             out = op() if tracer is None else tracer.span("op." + op.kind, op)
@@ -85,7 +97,9 @@ def run_pass(ops, tracer=None):
             out = Raised(exc)
         latencies.append(time.perf_counter() - s)
         outputs.append(out)
-    return time.perf_counter() - t0, latencies, outputs
+    if reference is not None:
+        references.append(reference())
+    return time.perf_counter() - t0, latencies, outputs, references
 
 
 def check(ops, outputs) -> list:
@@ -140,11 +154,47 @@ def probe_seconds(argv, ready: bool = False) -> float:
     return elapsed
 
 
+# keys of the in-process reference loop: small tuples, as compositions are
+_REFERENCE_KEYS = [(i % 7, i % 5, i % 3) for i in range(105)]
+
+
+def reference_loop() -> float:
+    """Seconds a fixed loop of dict and tuple work takes (about 0.2 ms): the host's speed, in process."""
+    t0 = time.perf_counter()
+    acc = {}
+    for _ in range(16):
+        for key in _REFERENCE_KEYS:
+            acc[key] = acc.get(key, 0) + key[0] * key[1] - key[2]
+    return time.perf_counter() - t0
+
+
+def bare_start() -> float:
+    """Seconds a bare ``python -c pass`` takes: the host's speed at this moment."""
+    return probe_seconds(BARE)
+
+
 def setup_probe(workload: str, seed: int) -> float:
     """Seconds a fresh process takes to import quasisym, build the inputs and clear the caches."""
     argv = [sys.executable, str(HERE / "run.py"), "--setup-probe",
             "--workload", workload, "--seed", str(seed)]
     return probe_seconds(argv, ready=True)
+
+
+def readings(latencies, references) -> list:
+    """Each latency over the mean of the references on either side of it."""
+    return [t / (r0 + r1) * 2 for t, r0, r1 in zip(latencies, references, references[1:])]
+
+
+def relative_setup(workload: str, seed: int, bare: list) -> float:
+    """One setup probe over the mean of the bare starts just before and after it.
+
+    Both bare starts go to ``bare``.
+    """
+    before = bare_start()
+    probe = setup_probe(workload, seed)
+    after = bare_start()
+    bare += (before, after)
+    return readings([probe], [before, after])[0]
 
 
 def percentile(values, q: int) -> float:
@@ -181,23 +231,32 @@ def metadata(workload: str, seed: int, ops) -> dict:
 
 
 def timed_run(workload: str, seed: int, seconds: float, ops, report: dict):
-    """Passes until the next one would overrun ``seconds`` (at least four); end-to-end metrics.
+    """Passes and setup probes until the next pass would overrun ``seconds``; end-to-end metrics.
 
-    Each op's latency is its best over the run's passes, and ``setup_s``
-    the best of the setup probes spread over the run.  The host's speed
-    drifts in phases of several seconds, so the best of samples spread over
-    the run is far steadier from run to run than a median.
+    A run makes at least MIN_PASSES passes and SETUP_PROBES probes.
+
+    The host's speed moves by up to 1.7x within minutes, so raw times of
+    two runs do not compare.  Every timing is therefore read against the
+    references timed just before and after it (bare interpreter starts
+    for a setup probe and a ``cli`` command, ``reference_loop`` for an
+    in-process op) and reported as seconds on the reference host, where
+    the references take BARE_START_S and REFERENCE_LOOP_S.  An op's
+    latency is the median of its readings over the passes, ``setup_s``
+    the median of the probes' readings.
     """
-    walls, latencies, setups = [], [], []
+    cli = workload == "cli"
+    reference, nominal = (bare_start, BARE_START_S) if cli else (reference_loop, REFERENCE_LOOP_S)
+    walls, latencies, setups, bare, references = [], [], [], [], []
     first, first_ok, failed, attempted = None, None, 0, 0
     rss = None
     start = time.perf_counter()
     while True:
         if time.perf_counter() - start >= len(setups) * seconds / SETUP_PROBES:
-            setups.append(setup_probe(workload, seed))
-        wall, lat, outputs = run_pass(ops)
+            setups.append(relative_setup(workload, seed, bare))
+        wall, lat, outputs, refs = run_pass(ops, reference=reference)
         walls.append(wall)
-        latencies.append(lat)
+        references += refs
+        latencies.append(readings(lat, refs))
         attempted += len(ops)
         if first is None:
             rss = peak_rss_mb(workload)
@@ -210,18 +269,23 @@ def timed_run(workload: str, seed: int, seconds: float, ops, report: dict):
             failed += first_ok.count(False)
         else:
             failed += mismatches(first_ok, outputs, first)
-        if len(walls) >= MIN_PASSES and sum(walls) + statistics.median(walls) > seconds:
+        elapsed = time.perf_counter() - start
+        if len(walls) >= MIN_PASSES[workload] and elapsed + statistics.median(walls) > seconds:
             break
     while len(setups) < SETUP_PROBES:
-        setups.append(setup_probe(workload, seed))
-    best = [min(samples) for samples in zip(*latencies)]
-    report.update(pass_walls=walls, setup_probes=setups, op_count=len(best),
-                  fail_ratio=failed / attempted)
+        setups.append(relative_setup(workload, seed, bare))
+    if cli:
+        bare += references
+    per_op = [statistics.median(samples) * nominal for samples in zip(*latencies)]
+    report.update(pass_walls=walls, setup_probes_over_bare=setups, bare_starts=len(bare),
+                  median_bare_s=statistics.median(bare),
+                  median_reference_s=statistics.median(references),
+                  op_count=len(per_op), fail_ratio=failed / attempted)
     metrics = {
-        "setup_s": min(setups),
-        "wall_s": sum(best),
-        "op_p50_ms": statistics.median(best) * 1000,
-        "op_p90_ms": percentile(best, 90) * 1000,
+        "setup_s": statistics.median(setups) * BARE_START_S,
+        "wall_s": sum(per_op),
+        "op_p50_ms": statistics.median(per_op) * 1000,
+        "op_p90_ms": percentile(per_op, 90) * 1000,
         "peak_rss_mb": rss,
     }
     return metrics, attempted, failed
@@ -269,7 +333,7 @@ def traced_run(workload: str, seed: int, ops, report: dict):
     plain_lat, traced_lat = [], []
     first_tracer, reference, ok, failed = None, None, None, 0
     for _ in range(1 if workload == "cli" else TRACE_ROUNDS):
-        _, lat, plain = run_pass(ops)
+        _, lat, plain, _ = run_pass(ops)
         plain_lat.append(lat)
         if reference is None:
             reference, ok = plain, check(ops, plain)
@@ -278,11 +342,11 @@ def traced_run(workload: str, seed: int, ops, report: dict):
             failed += mismatches(ok, plain, reference)
         tracer = Tracer()
         if workload == "cli":
-            _, lat, traced = run_pass(traced_cli_ops(ops, spans, totals), tracer)
+            _, lat, traced, _ = run_pass(traced_cli_ops(ops, spans, totals), tracer)
         else:
             tracer.install()
             try:
-                _, lat, traced = run_pass(ops, tracer)
+                _, lat, traced, _ = run_pass(ops, tracer)
             finally:
                 tracer.remove()
             if first_tracer is None:
@@ -298,7 +362,7 @@ def traced_run(workload: str, seed: int, ops, report: dict):
         totals[f"{prefix}.hit_ratio"] = hits / lookups if lookups else 0.0
     if workload == "cli":
         bare = statistics.median(
-            probe_seconds([sys.executable, "-c", "pass"]) for _ in range(START_PROBES))
+            bare_start() for _ in range(START_PROBES))
         imported = statistics.median(
             probe_seconds([sys.executable, "-c", "import quasisym"]) for _ in range(START_PROBES))
         totals["cli.interp_s"] = bare

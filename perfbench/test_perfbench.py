@@ -17,7 +17,7 @@ def _of_kind(ops, kind, count=20):
 
 
 def _failures(ops) -> int:
-    _, _, outputs = run.run_pass(ops)
+    _, _, outputs, _ = run.run_pass(ops)
     return run.check(ops, outputs).count(False)
 
 
@@ -76,7 +76,7 @@ def test_trace_records_layers_and_restores_names():
     tracer = run.Tracer()
     tracer.install()
     try:
-        wall, _, _ = run.run_pass(ops, tracer)
+        wall, _, _, _ = run.run_pass(ops, tracer)
     finally:
         tracer.remove()
     assert products.mul is original
@@ -86,3 +86,10 @@ def test_trace_records_layers_and_restores_names():
     assert "oracle.expand.calls" not in totals
     self_times = [v for k, v in totals.items() if k.endswith(".self_s")]
     assert min(self_times) >= 0 and sum(self_times) <= wall
+
+
+def test_a_reading_is_the_latency_over_its_neighbouring_references():
+    assert run.readings([3.0, 8.0], [1.0, 2.0, 6.0]) == [2.0, 2.0]
+    _, latencies, _, references = run.run_pass(_of_kind(ALGEBRA, "antipode", 3),
+                                               reference=run.reference_loop)
+    assert len(references) == len(latencies) + 1 and min(references) > 0
