@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, format_elem, monomial, one, scale, to_basis
+from quasisym.elements import QSymElem, format_coeff, format_elem, monomial, one, scale, to_basis
 from quasisym.hopf import antipode, coproduct
 from quasisym.kp import complete_h, kp_identity, kp_sigma_expression, power_sum, sigma_render
 from quasisym.oracle import expand
@@ -221,8 +221,7 @@ def _tensor_lines(t) -> list:
         if coeff == -1:
             body = f"-{body}"
         elif coeff != 1:
-            num = str(coeff.numerator) if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
-            body = f"{num}*{body}"
+            body = f"{format_coeff(coeff)}*{body}"
         lines.append(body)
     return lines
 

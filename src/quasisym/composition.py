@@ -28,7 +28,7 @@ class Composition(tuple):
     def __new__(cls, parts=()):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
         return super().__new__(cls, parts)
 

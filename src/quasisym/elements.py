@@ -2,7 +2,9 @@
 
 An element carries a basis tag — "M" (monomial), "Mt" (the weakly
 increasing variant) or "F" (fundamental) — and a finitely supported map
-from compositions to nonzero Fractions.  The M basis is the internal
+from compositions to nonzero coefficients, each an int when integral and
+a Fraction otherwise.  Sums accumulate int numerators over one common
+denominator and divide once at the end.  The M basis is the internal
 canonical one: every cross-basis computation normalizes to it.
 
 Base change facts used here:
@@ -15,7 +17,9 @@ and the inverse directions carry the sign (-1)^(length difference).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 from quasisym.composition import (
     Composition,
@@ -28,12 +32,51 @@ from quasisym.composition import (
 BASES = ("M", "Mt", "F")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+# -- coefficients ----------------------------------------------------------
+
+def coefficient(x):
+    """x in stored form: an int when integral, else a Fraction; floats raise."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"coefficients must be exact rationals, got {type(x).__name__}")
+
+
+def numerators(terms: dict):
+    """(d, nums) with terms[key] == nums[key] / d, d the lcm of the denominators."""
+    d = lcm(*[v.denominator for v in terms.values()])
+    if d == 1:
+        return 1, terms
+    return d, {k: v.numerator * (d // v.denominator) for k, v in terms.items()}
+
+
+def stored(sums: dict, d: int = 1) -> dict:
+    """The stored coefficients sums[key] / d: zeros dropped, ints where integral."""
+    if d == 1:
+        return {k: v for k, v in sums.items() if v}
+    out = {}
+    for k, v in sums.items():
+        if v:
+            q, r = divmod(v, d)
+            out[k] = Fraction(v, d) if r else q
+    return out
+
+
+def sum_terms(*maps) -> dict:
+    """Stored form of the key-wise sum of coefficient maps."""
+    d = lcm(*[v.denominator for m in maps for v in m.values()])
+    acc = defaultdict(int)
+    for m in maps:
+        for k, v in m.items():
+            acc[k] += v.numerator * (d // v.denominator)
+    return stored(acc, d)
+
+
+def scaled_terms(r, terms: dict) -> dict:
+    """Stored form of r times every coefficient of a map."""
+    r = coefficient(r)
+    return {k: coefficient(r * v) for k, v in terms.items()} if r else {}
 
 
 class QSymElem:
@@ -53,10 +96,21 @@ class QSymElem:
         object.__setattr__(self, "basis", basis)
         clean = {}
         for comp, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
+            coeff = coefficient(coeff)
             if coeff:
                 clean[Composition(comp)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, basis: str, terms: dict) -> "QSymElem":
+        """Wrap kernel words (valid by construction) and stored coefficients, unchecked.
+
+        Only for results the library built itself; outside input goes through __init__.
+        """
+        self, new = object.__new__(cls), tuple.__new__
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", {new(Composition, w): v for w, v in terms.items()})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QSymElem is immutable")
@@ -69,13 +123,10 @@ class QSymElem:
         a, b = self, other
         if a.basis != b.basis:
             a, b = to_basis(a, "M"), to_basis(b, "M")
-        out = dict(a.terms)
-        for comp, coeff in b.terms.items():
-            out[comp] = out.get(comp, Fraction(0)) + coeff
-        return QSymElem(a.basis, out)
+        return QSymElem._trusted(a.basis, sum_terms(a.terms, b.terms))
 
     def __neg__(self):
-        return QSymElem(self.basis, {c: -v for c, v in self.terms.items()})
+        return QSymElem._trusted(self.basis, {c: -v for c, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QSymElem):
@@ -122,7 +173,7 @@ class QSymElem:
 
 def monomial(basis: str, comp) -> QSymElem:
     """The single basis element with coefficient 1."""
-    return QSymElem(basis, {Composition(comp): Fraction(1)})
+    return QSymElem(basis, {Composition(comp): 1})
 
 
 def zero(basis: str = "M") -> QSymElem:
@@ -139,28 +190,10 @@ def add(a: QSymElem, b: QSymElem) -> QSymElem:
 
 
 def scale(r, a: QSymElem) -> QSymElem:
-    r = _as_fraction(r)
-    return QSymElem(a.basis, {c: r * v for c, v in a.terms.items()})
+    return QSymElem._trusted(a.basis, scaled_terms(r, a.terms))
 
 
 # -- base change ---------------------------------------------------------
-
-def _expand_to_m(basis: str, comp: Composition) -> dict:
-    """M-basis expansion of a single Mt or F basis element."""
-    if basis == "F":
-        return {d: Fraction(1) for d in refinements(comp)}
-    return {d: Fraction(1) for d in coarsenings(comp)}
-
-
-def _m_to_target(target: str, comp: Composition) -> dict:
-    """Signed expansion of a single M basis element in the Mt or F basis."""
-    if target == "F":
-        related = refinements(comp)
-    else:
-        related = coarsenings(comp)
-    sign = lambda d: Fraction(-1) ** abs(len(d) - len(comp))
-    return {d: sign(d) for d in related}
-
 
 def to_basis(a: QSymElem, target: str) -> QSymElem:
     """Re-express a in the target basis; round trips are the identity."""
@@ -168,43 +201,33 @@ def to_basis(a: QSymElem, target: str) -> QSymElem:
         raise ValueError(f"unknown basis {target!r}")
     if a.basis == target:
         return a
-    if a.basis != "M":
-        acc = {}
-        for comp, coeff in a.terms.items():
-            for d, u in _expand_to_m(a.basis, comp).items():
-                key = d
-                val = acc.get(key, Fraction(0)) + coeff * u
-                if val:
-                    acc[key] = val
-                elif key in acc:
-                    del acc[key]
-        a = QSymElem("M", acc)
-        if target == "M":
-            return a
-    acc = {}
-    for comp, coeff in a.terms.items():
-        for d, u in _m_to_target(target, comp).items():
-            val = acc.get(d, Fraction(0)) + coeff * u
-            if val:
-                acc[d] = val
-            elif d in acc:
-                del acc[d]
-    return QSymElem(target, acc)
+    d, nums = numerators(a.terms)
+    # a.basis -> M with all signs +1, then M -> target with (-1)^(length difference)
+    for basis, signed in ((a.basis, False), (target, True)):
+        if basis != "M":
+            related = refinements if basis == "F" else coarsenings
+            acc = defaultdict(int)
+            for comp, c in nums.items():
+                for m in related(comp):
+                    acc[m] += -c if signed and (len(m) - len(comp)) % 2 else c
+            nums = stored(acc)
+    return QSymElem._trusted(target, stored(nums, d))
 
 
-def counit(a: QSymElem) -> Fraction:
+def counit(a: QSymElem):
     """Coefficient of the empty composition.
 
     Base change fixes the empty composition and preserves weight, so the
     coefficient can be read off in whichever basis a is stored.
     """
-    return a.terms.get(EMPTY, Fraction(0))
+    return a.terms.get(EMPTY, 0)
 
 
 # -- printing ------------------------------------------------------------
 
-def format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def format_coeff(c) -> str:
+    """A stored coefficient as text: ``3`` or ``3/2``."""
+    return str(c)
 
 
 def _atom(basis: str, comp: Composition) -> str:

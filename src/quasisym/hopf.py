@@ -10,10 +10,13 @@ graded products by exchanging left and right with a sign.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
-from quasisym.composition import Composition, canonical_key, omega, reverse
-from quasisym.elements import QSymElem, monomial, to_basis
+from quasisym.composition import Composition, canonical_key, omega
+from quasisym.elements import (
+    QSymElem, coefficient, monomial, numerators, scaled_terms, stored, sum_terms, to_basis,
+)
 from quasisym.products import _m, bullet, mul
 
 
@@ -25,10 +28,18 @@ class TensorElem:
     def __init__(self, terms=None):
         clean = {}
         for (left, right), coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = coefficient(coeff)
             if coeff:
                 clean[(Composition(left), Composition(right))] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "TensorElem":
+        """Like QSymElem._trusted, on pairs of kernel words."""
+        self, new = object.__new__(cls), tuple.__new__
+        pairs = {(new(Composition, a), new(Composition, b)): v for (a, b), v in terms.items()}
+        object.__setattr__(self, "terms", pairs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElem is immutable")
@@ -36,13 +47,10 @@ class TensorElem:
     def __add__(self, other):
         if not isinstance(other, TensorElem):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return TensorElem(out)
+        return TensorElem._trusted(sum_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return TensorElem({k: -v for k, v in self.terms.items()})
+        return TensorElem._trusted({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TensorElem):
@@ -51,7 +59,7 @@ class TensorElem:
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return TensorElem({k: scalar * v for k, v in self.terms.items()})
+            return TensorElem._trusted(scaled_terms(scalar, self.terms))
         return NotImplemented
 
     def __eq__(self, other):
@@ -86,95 +94,91 @@ class TensorElem:
 
 def tensor_of(a: QSymElem, b: QSymElem) -> TensorElem:
     """The pure tensor a (x) b, bilinearly."""
-    a, b = _m(a), _m(b)
-    return TensorElem(
-        {(A, B): ca * cb for A, ca in a.terms.items() for B, cb in b.terms.items()}
+    da, na = numerators(_m(a).terms)
+    db, nb = numerators(_m(b).terms)
+    return TensorElem._trusted(
+        stored({(A, B): x * y for A, x in na.items() for B, y in nb.items()}, da * db)
     )
 
 
 def coproduct(a: QSymElem) -> TensorElem:
-    """Deconcatenation: Delta(M_C) = sum over C = AB of M_A (x) M_B."""
-    a = _m(a)
-    acc = {}
-    for comp, coeff in a.terms.items():
-        for cut in range(len(comp) + 1):
-            key = (Composition(comp[:cut]), Composition(comp[cut:]))
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-    return TensorElem(acc)
+    """Deconcatenation: Delta(M_C) = sum over C = AB of M_A (x) M_B (one C per key)."""
+    return TensorElem._trusted({
+        (comp[:cut], comp[cut:]): coeff
+        for comp, coeff in _m(a).terms.items()
+        for cut in range(len(comp) + 1)
+    })
 
 
 def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     """(a (x) b) o_k c = a (x) (b o_k c)."""
-    acc = {}
-    for (left, right), coeff in t.terms.items():
-        hit = bullet(k, monomial("M", right), c)
-        for comp, u in hit.terms.items():
-            key = (left, comp)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * u
-    return TensorElem(acc)
+    dt, nt = numerators(t.terms)
+    dc, nc = numerators(_m(c).terms)
+    c = QSymElem._trusted("M", nc)
+    acc = defaultdict(int)
+    for (left, right), x in nt.items():
+        for comp, u in bullet(k, monomial("M", right), c).terms.items():
+            acc[(left, comp)] += x * u
+    return TensorElem._trusted(stored(acc, dt * dc))
 
 
 def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     """c o_k (a (x) b) = (c o_k a) (x) b."""
-    acc = {}
-    for (left, right), coeff in t.terms.items():
-        hit = bullet(k, c, monomial("M", left))
-        for comp, u in hit.terms.items():
-            key = (comp, right)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * u
-    return TensorElem(acc)
+    dt, nt = numerators(t.terms)
+    dc, nc = numerators(_m(c).terms)
+    c = QSymElem._trusted("M", nc)
+    acc = defaultdict(int)
+    for (left, right), x in nt.items():
+        for comp, u in bullet(k, c, monomial("M", left)).terms.items():
+            acc[(comp, right)] += x * u
+    return TensorElem._trusted(stored(acc, dt * dc))
 
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    acc = {}
-    for (a, b), x in t.terms.items():
-        for (c, d), y in u.terms.items():
+    dt, nt = numerators(t.terms)
+    du, nu = numerators(u.terms)
+    acc = defaultdict(int)
+    for (a, b), x in nt.items():
+        for (c, d), y in nu.items():
             left = mul(monomial("M", a), monomial("M", c))
             right = mul(monomial("M", b), monomial("M", d))
-            coeff = x * y
+            xy = x * y
             for lc, lv in left.terms.items():
                 for rc, rv in right.terms.items():
-                    key = (lc, rc)
-                    acc[key] = acc.get(key, Fraction(0)) + coeff * lv * rv
-    return TensorElem(acc)
+                    acc[(lc, rc)] += xy * lv * rv
+    return TensorElem._trusted(stored(acc, dt * du))
+
+
+def _collapse(t: TensorElem, product) -> QSymElem:
+    """Sum of coeff * product(M_left, M_right) over t's terms."""
+    d, nums = numerators(t.terms)
+    acc = defaultdict(int)
+    for (left, right), x in nums.items():
+        for comp, u in product(monomial("M", left), monomial("M", right)).terms.items():
+            acc[comp] += x * u
+    return QSymElem._trusted("M", stored(acc, d))
 
 
 def m_k(k: int, t: TensorElem) -> QSymElem:
     """Collapse a tensor through o_k: sends a (x) b to a o_k b."""
-    out = QSymElem("M", {})
-    for (left, right), coeff in t.terms.items():
-        out = out + coeff * bullet(k, monomial("M", left), monomial("M", right))
-    return out
+    return _collapse(t, lambda a, b: bullet(k, a, b))
 
 
 def counit_left(t: TensorElem) -> QSymElem:
     """(eps (x) id) applied to a tensor."""
-    acc = {}
-    for (left, right), coeff in t.terms.items():
-        if not left:
-            acc[right] = acc.get(right, Fraction(0)) + coeff
-    return QSymElem("M", acc)
+    return QSymElem._trusted("M", {right: c for (left, right), c in t.terms.items() if not left})
 
 
 def counit_right(t: TensorElem) -> QSymElem:
     """(id (x) eps) applied to a tensor."""
-    acc = {}
-    for (left, right), coeff in t.terms.items():
-        if not right:
-            acc[left] = acc.get(left, Fraction(0)) + coeff
-    return QSymElem("M", acc)
+    return QSymElem._trusted("M", {left: c for (left, right), c in t.terms.items() if not right})
 
 
 def antipode(a: QSymElem) -> QSymElem:
     """S(M_C) = (-1)^len(C) Mt_{reverse(C)}, returned in the M basis."""
-    a = _m(a)
-    acc = {}
-    for comp, coeff in a.terms.items():
-        key = reverse(comp)
-        sign = Fraction(-1) if len(comp) % 2 else Fraction(1)
-        acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-    return to_basis(QSymElem("Mt", acc), "M")
+    image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in _m(a).terms.items()}
+    return to_basis(QSymElem._trusted("Mt", image), "M")
 
 
 def antipode_F(c) -> QSymElem:
@@ -182,24 +186,17 @@ def antipode_F(c) -> QSymElem:
     c = Composition(c)
     if not c:
         raise ValueError("the F-basis antipode formula needs a nonempty composition")
-    sign = Fraction(-1) if c.weight % 2 else Fraction(1)
-    return QSymElem("F", {omega(c): sign})
+    return QSymElem("F", {omega(c): -1 if c.weight % 2 else 1})
 
 
 def antipode_axiom_left(a: QSymElem) -> QSymElem:
     """mu (id (x) S) Delta applied to a; equals counit(a) * 1 for the antipode."""
-    out = QSymElem("M", {})
-    for (left, right), coeff in coproduct(a).terms.items():
-        out = out + coeff * mul(monomial("M", left), antipode(monomial("M", right)))
-    return out
+    return _collapse(coproduct(a), lambda left, right: mul(left, antipode(right)))
 
 
 def antipode_axiom_right(a: QSymElem) -> QSymElem:
     """mu (S (x) id) Delta applied to a."""
-    out = QSymElem("M", {})
-    for (left, right), coeff in coproduct(a).terms.items():
-        out = out + coeff * mul(antipode(monomial("M", left)), monomial("M", right))
-    return out
+    return _collapse(coproduct(a), lambda left, right: mul(antipode(left), right))
 
 
 def derivation_delta(n: int, a: QSymElem) -> QSymElem:

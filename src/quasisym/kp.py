@@ -1,8 +1,9 @@
 """Symmetric-function generators and the KP identity family.
 
-Power sums are the single-part M elements; complete homogeneous functions
-come out of Newton's recursion n h_n = sum p_k h_{n-k}.  The identity
-family
+Power sums are the single-part M elements; the complete homogeneous
+function h_n is the sum of M_C over all compositions C of n (the `newton`
+suite checks it against Newton's recursion n h_n = sum p_k h_{n-k}).  The
+identity family
 
     h_m h_{n+1} - h_{m+1} h_n
         = sum_{k=1}^m h_k o (h_{m-k} h_n) - sum_{k=1}^n h_k o (h_{n-k} h_m)
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from quasisym.composition import compositions_of
-from quasisym.elements import QSymElem, monomial, one, scale
+from quasisym.elements import QSymElem, format_coeff, monomial, one, scale
 from quasisym.products import bullet, mul
 
 
@@ -36,15 +37,10 @@ def power_sum(n: int) -> QSymElem:
 
 @lru_cache(maxsize=None)
 def complete_h(n: int) -> QSymElem:
-    """h_n via Newton's recursion; equals the sum of M_C over all |C| = n."""
+    """h_n, the sum of M_C over all compositions C of n."""
     if n < 0:
         raise ValueError(f"complete homogeneous index must be nonnegative, got {n}")
-    if n == 0:
-        return one()
-    acc = QSymElem("M", {})
-    for k in range(1, n + 1):
-        acc = acc + mul(power_sum(k), complete_h(n - k))
-    return scale(Fraction(1, n), acc)
+    return QSymElem._trusted("M", dict.fromkeys(compositions_of(n), 1))
 
 
 def partitions_of(n: int) -> list:
@@ -256,8 +252,7 @@ def render_terms(terms, clear_denominators: bool = False, leading_positive: bool
         body = "*".join("phi_{" + ",".join(f"t{i}" for i in f) + "}" for f in t.factors)
         mag = abs(coeff)
         if mag != 1:
-            num = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = f"{num}*{body}"
+            body = f"{format_coeff(mag)}*{body}"
         if not bits:
             bits.append(body if coeff > 0 else f"-{body}")
         else:

@@ -10,11 +10,15 @@ N >= total degree decides equality in QSym (lengths never exceed weights).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from quasisym._core import chain_monomials
-from quasisym.elements import QSymElem, to_basis
+from quasisym.elements import (
+    QSymElem, coefficient, format_coeff, numerators, scaled_terms, stored, sum_terms, to_basis,
+)
 
 
 class Polynomial:
@@ -32,7 +36,7 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = coefficient(coeff)
             if not coeff:
                 continue
             mono = tuple(mono)
@@ -40,6 +44,14 @@ class Polynomial:
                 raise ValueError(f"bad exponent vector {mono!r} for {n} variables")
             clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
+        """Exponent vectors the library built and stored coefficients, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -52,13 +64,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, sum_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -67,20 +76,17 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.n, {m: other * c for m, c in self.terms.items()})
+            return Polynomial._trusted(self.n, scaled_terms(other, self.terms))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                val = acc.get(key, 0) + c1 * c2
-                if val:
-                    acc[key] = val
-                elif key in acc:
-                    del acc[key]
-        return Polynomial(self.n, acc)
+        d1, n1 = numerators(self.terms)
+        d2, n2 = numerators(other.terms)
+        acc = defaultdict(int)
+        for m1, c1 in n1.items():
+            for m2, c2 in n2.items():
+                acc[tuple(map(add, m1, m2))] += c1 * c2
+        return Polynomial._trusted(self.n, stored(acc, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -122,18 +128,14 @@ class Polynomial:
             body = "*".join(factors)
             mag = abs(coeff)
             if not body:
-                body = _coeff_str(mag)
+                body = format_coeff(mag)
             elif mag != 1:
-                body = f"{_coeff_str(mag)}*{body}"
+                body = f"{format_coeff(mag)}*{body}"
             if not bits:
                 bits.append(body if coeff > 0 else f"-{body}")
             else:
                 bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(bits)
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def poly_zero(n: int) -> Polynomial:
@@ -183,15 +185,12 @@ def expand(a: QSymElem, n: int) -> Polynomial:
     """Evaluate a in n variables straight from its basis's summation formula."""
     if n < 1:
         raise ValueError("need at least one variable")
-    acc = {}
-    for comp, coeff in a.terms.items():
+    d, nums = numerators(a.terms)
+    acc = defaultdict(int)
+    for comp, c in nums.items():
         for mono in _expand_basis(a.basis, tuple(comp), n):
-            val = acc.get(mono, 0) + coeff
-            if val:
-                acc[mono] = val
-            elif mono in acc:
-                del acc[mono]
-    return Polynomial(n, acc)
+            acc[mono] += c
+    return Polynomial._trusted(n, stored(acc, d))
 
 
 def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -> Polynomial:
@@ -207,9 +206,11 @@ def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -
         raise ValueError("need at least one variable")
     a = to_basis(a, "M") if a.basis != "M" else a
     b = to_basis(b, "M") if b.basis != "M" else b
-    acc = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
+    da, na = numerators(a.terms)
+    db, nb = numerators(b.terms)
+    acc = defaultdict(int)
+    for A, ca in na.items():
+        for B, cb in nb.items():
             coeff = ca * cb
             exps = tuple(A) + (k,) + tuple(B)
             strict = []
@@ -220,12 +221,8 @@ def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -
                 strict.append(hat)
             strict.extend([True] * max(len(B) - 1, 0))
             for mono in chain_monomials(exps, tuple(strict), n):
-                val = acc.get(mono, 0) + coeff
-                if val:
-                    acc[mono] = val
-                elif mono in acc:
-                    del acc[mono]
-    return Polynomial(n, acc)
+                acc[mono] += coeff
+    return Polynomial._trusted(n, stored(acc, da * db))
 
 
 def certify_equal(a: QSymElem, b: QSymElem) -> bool:

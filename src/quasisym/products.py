@@ -17,11 +17,11 @@ conversion; the oracle module checks all of them against direct summation.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import defaultdict
 
 from quasisym._core import quasi_shuffle
 from quasisym.composition import Composition, elementary_compose, elementary_decompose
-from quasisym.elements import QSymElem, monomial, one, to_basis
+from quasisym.elements import QSymElem, monomial, numerators, one, stored, to_basis
 
 
 def _m(a: QSymElem) -> QSymElem:
@@ -30,18 +30,15 @@ def _m(a: QSymElem) -> QSymElem:
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Ordinary (quasi-shuffle) product; commutative and associative."""
-    a, b = _m(a), _m(b)
-    acc = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
+    da, na = numerators(_m(a).terms)
+    db, nb = numerators(_m(b).terms)
+    acc = defaultdict(int)
+    for A, ca in na.items():
+        for B, cb in nb.items():
             c = ca * cb
             for word, mult in quasi_shuffle(tuple(A), tuple(B)).items():
-                val = acc.get(word, 0) + c * mult
-                if val:
-                    acc[word] = val
-                elif word in acc:
-                    del acc[word]
-    return QSymElem("M", acc)
+                acc[word] += c * mult
+    return QSymElem._trusted("M", stored(acc, da * db))
 
 
 def _bullet_words(k: int, A: tuple, B: tuple):
@@ -63,20 +60,18 @@ def _hat_words(k: int, A: tuple, B: tuple):
 
 
 def _bilinear(words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
-    if k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k}")
-    a, b = _m(a), _m(b)
-    acc = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
+    # k becomes a part of unchecked result words, so it is checked like one
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"product index must be a positive integer, got {k!r}")
+    da, na = numerators(_m(a).terms)
+    db, nb = numerators(_m(b).terms)
+    acc = defaultdict(int)
+    for A, ca in na.items():
+        for B, cb in nb.items():
             c = ca * cb
             for word in words(k, tuple(A), tuple(B)):
-                val = acc.get(word, 0) + c
-                if val:
-                    acc[word] = val
-                elif word in acc:
-                    del acc[word]
-    return QSymElem("M", acc)
+                acc[word] += c
+    return QSymElem._trusted("M", stored(acc, da * db))
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -108,8 +103,7 @@ def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
 
 def reverse_map(a: QSymElem) -> QSymElem:
     """Linear extension of M_C -> M_{reverse(C)}."""
-    a = _m(a)
-    return QSymElem("M", {Composition(tuple(c)[::-1]): v for c, v in a.terms.items()})
+    return QSymElem._trusted("M", {c[::-1]: v for c, v in _m(a).terms.items()})
 
 
 # -- closed forms on the Mt and F bases -----------------------------------
@@ -127,8 +121,8 @@ def bullet_tilde(k: int, left, right) -> QSymElem:
     if not left:
         return monomial("Mt", (k,) + tuple(right))
     terms = {
-        Composition(tuple(left) + (k,) + tuple(right)): Fraction(1),
-        Composition(tuple(left[:-1]) + (left[-1] + k,) + tuple(right)): Fraction(-1),
+        Composition(tuple(left) + (k,) + tuple(right)): 1,
+        Composition(tuple(left[:-1]) + (left[-1] + k,) + tuple(right)): -1,
     }
     return QSymElem("Mt", terms)
 

@@ -10,9 +10,11 @@ of the supersymmetric world.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from quasisym.composition import Composition, compositions_of
+from quasisym.elements import coefficient, numerators, scaled_terms, stored, sum_terms
 
 
 class QssPoly:
@@ -29,7 +31,7 @@ class QssPoly:
         object.__setattr__(self, "n", n)
         clean = {}
         for (xe, ye), coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = coefficient(coeff)
             if not coeff:
                 continue
             xe, ye = tuple(xe), tuple(ye)
@@ -49,10 +51,7 @@ class QssPoly:
         if not isinstance(other, QssPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return QssPoly(self.n, out)
+        return QssPoly(self.n, sum_terms(self.terms, other.terms))
 
     def __neg__(self):
         return QssPoly(self.n, {k: -v for k, v in self.terms.items()})
@@ -64,23 +63,21 @@ class QssPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QssPoly(self.n, {k: other * v for k, v in self.terms.items()})
+            return QssPoly(self.n, scaled_terms(other, self.terms))
         if not isinstance(other, QssPoly):
             return NotImplemented
         self._check(other)
-        acc = {}
-        for (x1, y1), c1 in self.terms.items():
-            for (x2, y2), c2 in other.terms.items():
+        d1, n1 = numerators(self.terms)
+        d2, n2 = numerators(other.terms)
+        acc = defaultdict(int)
+        for (x1, y1), c1 in n1.items():
+            for (x2, y2), c2 in n2.items():
                 key = (
                     tuple(a + b for a, b in zip(x1, x2)),
                     tuple(a + b for a, b in zip(y1, y2)),
                 )
-                val = acc.get(key, 0) + c1 * c2
-                if val:
-                    acc[key] = val
-                elif key in acc:
-                    del acc[key]
-        return QssPoly(self.n, acc)
+                acc[key] += c1 * c2
+        return QssPoly(self.n, stored(acc, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -96,7 +93,7 @@ class QssPoly:
 
 
 def qss_one(n: int) -> QssPoly:
-    return QssPoly(n, {((0,) * n, (0,) * n): Fraction(1)})
+    return QssPoly(n, {((0,) * n, (0,) * n): 1})
 
 
 def _support_window(xe, ye):
@@ -134,18 +131,12 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
         raise ValueError(f"product index must be a positive integer, got {k}")
     a._check(b)
     n = a.n
-    acc = {}
-
-    def put(key, coeff):
-        val = acc.get(key, 0) + coeff
-        if val:
-            acc[key] = val
-        elif key in acc:
-            del acc[key]
-
-    for ka, ca in a.terms.items():
+    da, na = numerators(a.terms)
+    db, nb = numerators(b.terms)
+    acc = defaultdict(int)
+    for ka, ca in na.items():
         wa = _support_window(*ka)
-        for kb, cb in b.terms.items():
+        for kb, cb in nb.items():
             wb = _support_window(*kb)
             coeff = ca * cb
             merged = (
@@ -165,10 +156,10 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
                 x_lo, x_hi = wa[1] + 1, wb[0] + 1
                 y_lo, y_hi = wa[1], wb[0]
             for i in range(x_lo, x_hi):
-                put(_mono_mul(merged, i, "x", k), coeff)
+                acc[_mono_mul(merged, i, "x", k)] += coeff
             for i in range(y_lo, y_hi):
-                put(_mono_mul(merged, i, "y", k), -coeff)
-    return QssPoly(n, acc)
+                acc[_mono_mul(merged, i, "y", k)] -= coeff
+    return QssPoly(n, stored(acc, da * db))
 
 
 def qss_p(r: int, n: int) -> QssPoly:
@@ -179,8 +170,8 @@ def qss_p(r: int, n: int) -> QssPoly:
     zero = (0,) * n
     for i in range(n):
         xe = zero[:i] + (r,) + zero[i + 1 :]
-        terms[(xe, zero)] = Fraction(1)
-        terms[(zero, xe)] = Fraction(-1)
+        terms[(xe, zero)] = 1
+        terms[(zero, xe)] = -1
     return QssPoly(n, terms)
 
 
@@ -212,7 +203,7 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     """
     if not 0 <= i < a.n:
         raise ValueError(f"index out of range: {i}")
-    by_degree = {}
+    by_degree = defaultdict(int)
     for (xe, ye), coeff in a.terms.items():
         d = xe[i] + ye[i]
         if d == 0:
@@ -221,13 +212,8 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
             xe[:i] + (0,) + xe[i + 1 :],
             ye[:i] + (0,) + ye[i + 1 :],
         )
-        bucket = by_degree.setdefault(d, {})
-        val = bucket.get(residual, Fraction(0)) + coeff
-        if val:
-            bucket[residual] = val
-        else:
-            del bucket[residual]
-    return all(not bucket for bucket in by_degree.values())
+        by_degree[(d, residual)] += coeff
+    return not any(by_degree.values())
 
 
 def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
@@ -238,16 +224,8 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
 
     kept as an independent cross-check of qss_bullet(1, p_r, p_s).
     """
-    acc = {}
+    acc = defaultdict(int)
     zero = (0,) * n
-
-    def put(xe, ye, coeff):
-        key = (tuple(xe), tuple(ye))
-        val = acc.get(key, 0) + coeff
-        if val:
-            acc[key] = val
-        elif key in acc:
-            del acc[key]
 
     def add_products(i, j, k, middle, sign):
         # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s), z the middle alphabet
@@ -257,7 +235,7 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
                 (xe if ai == "x" else ye)[i] += r
                 (xe if middle == "x" else ye)[j] += 1
                 (xe if ak == "x" else ye)[k] += s
-                put(xe, ye, sign * si * sk)
+                acc[(tuple(xe), tuple(ye))] += sign * si * sk
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j, n):

@@ -1,0 +1,89 @@
+"""Stored coefficients: an int when integral, a Fraction otherwise, never a float;
+composition parts are ints, never bools."""
+
+from fractions import Fraction
+
+import pytest
+
+from quasisym.composition import Composition
+from quasisym.elements import QSymElem, coefficient, monomial, scale, to_basis
+from quasisym.hopf import TensorElem, coproduct
+from quasisym.kp import complete_h
+from quasisym.oracle import Polynomial, expand
+from quasisym.products import bullet, hat_bullet, mul
+from quasisym.qss import QssPoly
+
+
+def test_coefficient_normal_form():
+    assert coefficient(Fraction(4, 2)) == 2 and type(coefficient(Fraction(4, 2))) is int
+    assert coefficient(Fraction(3, 6)) == Fraction(1, 2)
+    assert type(coefficient(True)) is int
+    for bad in (0.5, 1.0, "1/2", None, complex(1, 0)):
+        with pytest.raises(TypeError):
+            coefficient(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QSymElem("M", {(1,): 0.5}),
+    lambda: TensorElem({((1,), ()): 0.1}),
+    lambda: Polynomial(1, {(1,): 0.5}),
+    lambda: QssPoly(1, {((1,), (0,)): 0.5}),
+    lambda: Polynomial(1, {(1,): "1/2"}),
+    lambda: 0.5 * monomial("M", (1,)),
+], ids=["QSymElem", "TensorElem", "Polynomial", "QssPoly", "string", "scalar"])
+def test_floats_are_refused_everywhere(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = Fraction(1, 2)
+    elems = [
+        QSymElem("M", {(1,): Fraction(4, 2)}),
+        scale(half, 2 * monomial("M", (2, 1))),
+        mul(half * monomial("M", (1,)), 2 * monomial("M", (1,))),
+        to_basis(QSymElem("F", {(2, 1): Fraction(6, 3)}), "M"),
+    ]
+    for e in elems:
+        assert e.terms and all(type(v) is int for v in e.terms.values())
+    assert type(TensorElem({((1,), ()): Fraction(2, 1)}).terms[((1,), ())]) is int
+    assert type(Polynomial(1, {(1,): Fraction(2, 1)}).terms[(1,)]) is int
+    assert type(QssPoly(1, {((1,), (0,)): Fraction(2, 1)}).terms[((1,), (0,))]) is int
+    halves = coproduct(QSymElem("M", {(1,): half}))
+    assert set(halves.terms.values()) == {half}
+
+
+def test_complete_h_is_the_flat_sum_with_int_coefficients():
+    h = complete_h(7)
+    assert len(h.terms) == 2 ** 6
+    assert all(type(v) is int and v == 1 for v in h.terms.values())
+
+
+@pytest.mark.parametrize("parts", [(True, 2), (1, False), (True,)])
+def test_bool_parts_are_refused(parts):
+    with pytest.raises(ValueError):
+        Composition(parts)
+    with pytest.raises(ValueError):
+        QSymElem("M", {parts: 1})
+    with pytest.raises(ValueError):
+        monomial("F", parts)
+    with pytest.raises(ValueError):
+        TensorElem({(parts, ()): 1})
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 0])
+def test_product_index_is_checked_like_a_part(k):
+    # k becomes a part of the result words, which are not validated again
+    for product in (bullet, hat_bullet):
+        with pytest.raises(ValueError):
+            product(k, monomial("M", (1,)), monomial("M", (2,)))
+
+
+def test_kernel_results_are_compositions():
+    a = QSymElem("M", {(1, 2): 3, (2,): Fraction(-1, 3)})
+    b = to_basis(QSymElem("F", {(1, 1): 2}), "Mt")
+    for e in (mul(a, b), bullet(2, a, b), to_basis(a, "F"), a + b, -a):
+        assert all(type(c) is Composition for c in e.terms)
+    for left, right in coproduct(a).terms:
+        assert type(left) is Composition and type(right) is Composition
+    assert expand(mul(a, b), 2) == expand(a, 2) * expand(b, 2)

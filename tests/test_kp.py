@@ -59,6 +59,18 @@ def test_complete_h():
         assert complete_h(n) == to_basis(monomial("Mt", (1,) * n), "M")
 
 
+def test_newton_suite_checks_the_recursion(monkeypatch):
+    from quasisym import suites
+
+    assert all(ok for _, ok in suites.suite_newton(max_n=5))
+    # complete_h is the flat sum by construction; the suite's "sum of M_C"
+    # case compares it with Newton's recursion, so a wrong h_n must fail it
+    wrong = lambda n: complete_h(n) + (M(n) if n else 0 * M(1))
+    monkeypatch.setattr(suites, "complete_h", wrong)
+    results = dict(suites.suite_newton(max_n=3))
+    assert not results["h_3 = sum of M_C"] and results["h_0 = sum of M_C"]
+
+
 def test_divided_power_coproduct():
     for n in range(1, 6):
         lhs = coproduct(complete_h(n))

@@ -1,0 +1,132 @@
+"""Property tests on random rational combinations in mixed bases.
+
+Elements mix the M, Mt and F bases, carry coefficients with denominators,
+and some are sums that cancel.  Every operation is checked against the
+summation oracle (which never uses structure constants), against its
+scalar multiples, and for the stored coefficient form: nonzero, an int
+exactly when integral.  Seeds are derandomized, so runs are repeatable.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from quasisym.composition import Composition
+from quasisym.elements import QSymElem, monomial, to_basis
+from quasisym.hopf import antipode, coproduct
+from quasisym.oracle import Polynomial, expand, expand_bullet
+from quasisym.products import bullet, hat_bullet, mul
+
+# Oracle variables.  Expansions in N variables decide equality for
+# compositions of length <= N; elements here have weight <= 3, so products
+# have length <= 6 (mul) and <= 7 (o_k and o^_k).
+N = 7
+SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+coefficients = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 2, 3, 4, 6))
+)
+compositions = st.lists(st.integers(1, 3), max_size=3).filter(lambda c: sum(c) <= 3).map(tuple)
+
+
+@st.composite
+def elements(draw):
+    """A rational combination in a random basis; about a third of the time
+    it is a + b - b', with b' equal to b but in another basis, so the sum
+    cancels inside __add__."""
+    basis = draw(st.sampled_from(("M", "Mt", "F")))
+    a = QSymElem(basis, draw(st.dictionaries(compositions, coefficients, max_size=4)))
+    if draw(st.integers(0, 2)):
+        return a
+    b = QSymElem(draw(st.sampled_from(("M", "Mt", "F"))),
+                 draw(st.dictionaries(compositions, coefficients, min_size=1, max_size=3)))
+    return a + b - to_basis(b, draw(st.sampled_from(("M", "Mt", "F"))))
+
+
+scalars = st.one_of(coefficients, st.integers(-3, 3))
+
+
+def assert_stored(terms):
+    for v in terms.values():
+        assert v != 0
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def m_coefficients(a, n):
+    """M-basis coefficients of a read off its oracle expansion at n >= degree:
+    the coefficient of M_C is that of x_1^c_1 ... x_l^c_l."""
+    out = {}
+    for mono, coeff in expand(a, n).terms.items():
+        length = next((i for i, e in enumerate(mono) if e == 0), n)
+        if not any(mono[length:]):
+            out[mono[:length]] = coeff
+    return out
+
+
+@SETTINGS
+@given(elements(), elements())
+def test_mul_matches_the_oracle(a, b):
+    out = mul(a, b)
+    assert_stored(out.terms)
+    assert expand(out, N) == expand(a, N) * expand(b, N)
+
+
+@SETTINGS
+@given(elements(), elements(), st.integers(1, 3))
+def test_bullet_and_hat_match_the_oracle(a, b, k):
+    for product, hat in ((bullet, False), (hat_bullet, True)):
+        out = product(k, a, b)
+        assert_stored(out.terms)
+        assert expand(out, N) == expand_bullet(k, a, b, N, hat=hat)
+
+
+@SETTINGS
+@given(elements(), st.sampled_from(("M", "Mt", "F")))
+def test_to_basis_matches_the_oracle_and_round_trips(a, target):
+    out = to_basis(a, target)
+    assert out.basis == target
+    assert_stored(out.terms)
+    assert expand(out, N) == expand(a, N)
+    assert to_basis(out, a.basis).terms == a.terms
+
+
+@SETTINGS
+@given(elements())
+def test_coproduct_is_evaluation_on_two_alphabets(a):
+    """Delta(a)(x; y) = a(x_1, .., x_n, y_1, .., y_n)."""
+    n = 2
+    out = coproduct(a)
+    assert_stored(out.terms)
+    acc = {}
+    for (left, right), coeff in out.terms.items():
+        for ml, cl in expand(monomial("M", left), n).terms.items():
+            for mr, cr in expand(monomial("M", right), n).terms.items():
+                acc[ml + mr] = acc.get(ml + mr, 0) + coeff * cl * cr
+    assert Polynomial(2 * n, acc) == expand(a, 2 * n)
+
+
+@SETTINGS
+@given(elements())
+def test_antipode_matches_the_oracle(a):
+    """S(M_C) = (-1)^len(C) Mt_reverse(C), with a's M coefficients from the oracle."""
+    out = antipode(a)
+    assert_stored(out.terms)
+    image = QSymElem("Mt", {
+        Composition(c[::-1]): (-1) ** len(c) * v for c, v in m_coefficients(a, 3).items()
+    })
+    assert expand(out, N) == expand(image, N)
+
+
+@SETTINGS
+@given(elements(), elements(), elements(), scalars, scalars, st.integers(1, 2))
+def test_bilinearity_with_denominators(a, b, c, r, s, k):
+    assert mul(r * a + c, s * b) == r * s * mul(a, b) + s * mul(c, b)
+    assert bullet(k, r * a, s * b + c) == r * s * bullet(k, a, b) + r * bullet(k, a, c)
+    assert hat_bullet(k, r * a, s * b) == r * s * hat_bullet(k, a, b)
+    for target in ("M", "Mt", "F"):
+        assert to_basis(r * a + c, target) == r * to_basis(a, target) + to_basis(c, target)
+    assert coproduct(r * a + c) == r * coproduct(a) + coproduct(c)
+    assert antipode(r * a + c) == r * antipode(a) + antipode(c)
+    for e in (r * a, r * a + c, a - a):
+        assert_stored(e.terms)
+    assert not a - a
