@@ -8,7 +8,6 @@ oracle, the KP identity family with its hierarchy rendering, and a
 two-alphabet extension.  See the README for the CLI.
 """
 
-from quasisym._core import BACKEND as kernel_backend
 from quasisym.composition import (
     Composition,
     coarsenings,
@@ -55,3 +54,6 @@ from quasisym.products import (
 from quasisym.qss import QssPoly, qss_bullet, qss_kp_check, qss_M, qss_p, t_substitution_check
 
 __version__ = "0.1.0"
+
+# the kernels have one implementation, in quasisym._core
+kernel_backend = "python"

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, format_coeff, format_elem, monomial, one, scale, to_basis
+from quasisym.elements import QSymElem, format_elem, format_terms, monomial, one, scale, to_basis
 from quasisym.hopf import antipode, coproduct
 from quasisym.kp import complete_h, kp_identity, kp_sigma_expression, power_sum, sigma_render
 from quasisym.oracle import expand
@@ -212,20 +212,6 @@ def evaluate(text: str) -> QSymElem:
     return eval_expr(parse(text))
 
 
-def _tensor_lines(t) -> list:
-    lines = []
-    for (left, right), coeff in t.sorted_terms():
-        la = "1" if not left else f"M{left!r}"
-        ra = "1" if not right else f"M{right!r}"
-        body = f"{la} (x) {ra}"
-        if coeff == -1:
-            body = f"-{body}"
-        elif coeff != 1:
-            body = f"{format_coeff(coeff)}*{body}"
-        lines.append(body)
-    return lines
-
-
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     """Print one suite's results; returns overall pass."""
     ok_count = sum(1 for _, ok in results if ok)
@@ -311,8 +297,8 @@ def _dispatch(args, out) -> int:
         out.write(format_elem(to_basis(evaluate(args.expr), args.to)) + "\n")
         return 0
     if args.command == "coproduct":
-        for line in _tensor_lines(coproduct(evaluate(args.expr))):
-            out.write(line + "\n")
+        for term in coproduct(evaluate(args.expr)).text_terms():
+            out.write(format_terms([term]) + "\n")
         return 0
     if args.command == "antipode":
         out.write(format_elem(antipode(evaluate(args.expr))) + "\n")

@@ -10,100 +10,53 @@ graded products by exchanging left and right with a sign.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from fractions import Fraction
-
+from quasisym._core import quasi_shuffle
 from quasisym.composition import Composition, canonical_key, omega
 from quasisym.elements import (
-    QSymElem, coefficient, monomial, numerators, scaled_terms, stored, sum_terms, to_basis,
+    QSymElem, Sparse, _m, bilinear, linear, monomial, positive_index, to_basis,
 )
-from quasisym.products import _m, bullet, mul
+from quasisym.products import _bullet_words, bullet, mul
 
 
-class TensorElem:
+class TensorElem(Sparse):
     """Element of QSym (x) QSym with both legs in the M basis."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        for (left, right), coeff in (terms or {}).items():
-            coeff = coefficient(coeff)
-            if coeff:
-                clean[(Composition(left), Composition(right))] = coeff
-        object.__setattr__(self, "terms", clean)
+        Sparse.__init__(self, None, terms)
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "TensorElem":
-        """Like QSymElem._trusted, on pairs of kernel words."""
-        self, new = object.__new__(cls), tuple.__new__
-        pairs = {(new(Composition, a), new(Composition, b)): v for (a, b), v in terms.items()}
-        object.__setattr__(self, "terms", pairs)
-        return self
+    def _words(cls, terms: dict) -> "TensorElem":
+        """Like QSymElem._words, on pairs of kernel words."""
+        new = tuple.__new__
+        return cls._raw(None, {
+            (new(Composition, a), new(Composition, b)): v for (a, b), v in terms.items()
+        })
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElem is immutable")
+    @staticmethod
+    def _key(key) -> tuple:
+        left, right = key
+        return Composition(left), Composition(right)
 
-    def __add__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return TensorElem._trusted(sum_terms(self.terms, other.terms))
+    @staticmethod
+    def _order(key):
+        return canonical_key(key[0]), canonical_key(key[1])
 
-    def __neg__(self):
-        return TensorElem._trusted({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return TensorElem._trusted(scaled_terms(scalar, self.terms))
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (canonical_key(kv[0][0]), canonical_key(kv[0][1])),
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (left, right), coeff in self.sorted_terms():
-            la = "1" if not left else f"M{left!r}"
-            ra = "1" if not right else f"M{right!r}"
-            body = f"{la} (x) {ra}"
-            if coeff != 1:
-                body = f"{coeff}*{body}" if coeff != -1 else f"-{body}"
-            bits.append(body)
-        return " + ".join(bits)
+    @staticmethod
+    def _atom(key) -> str:
+        left, right = key
+        return f"{f'M{left!r}' if left else '1'} (x) {f'M{right!r}' if right else '1'}"
 
 
 def tensor_of(a: QSymElem, b: QSymElem) -> TensorElem:
     """The pure tensor a (x) b, bilinearly."""
-    da, na = numerators(_m(a).terms)
-    db, nb = numerators(_m(b).terms)
-    return TensorElem._trusted(
-        stored({(A, B): x * y for A, x in na.items() for B, y in nb.items()}, da * db)
-    )
+    return TensorElem._raw(None, bilinear(_m(a).terms, _m(b).terms, lambda A, B: ((A, B),)))
 
 
 def coproduct(a: QSymElem) -> TensorElem:
     """Deconcatenation: Delta(M_C) = sum over C = AB of M_A (x) M_B (one C per key)."""
-    return TensorElem._trusted({
+    return TensorElem._words({
         (comp[:cut], comp[cut:]): coeff
         for comp, coeff in _m(a).terms.items()
         for cut in range(len(comp) + 1)
@@ -112,52 +65,35 @@ def coproduct(a: QSymElem) -> TensorElem:
 
 def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     """(a (x) b) o_k c = a (x) (b o_k c)."""
-    dt, nt = numerators(t.terms)
-    dc, nc = numerators(_m(c).terms)
-    c = QSymElem._trusted("M", nc)
-    acc = defaultdict(int)
-    for (left, right), x in nt.items():
-        for comp, u in bullet(k, monomial("M", right), c).terms.items():
-            acc[(left, comp)] += x * u
-    return TensorElem._trusted(stored(acc, dt * dc))
+    positive_index(k, "product index")
+    return TensorElem._words(bilinear(t.terms, _m(c).terms, lambda ab, C: (
+        (ab[0], w) for w in _bullet_words(k, ab[1], C))))
 
 
 def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     """c o_k (a (x) b) = (c o_k a) (x) b."""
-    dt, nt = numerators(t.terms)
-    dc, nc = numerators(_m(c).terms)
-    c = QSymElem._trusted("M", nc)
-    acc = defaultdict(int)
-    for (left, right), x in nt.items():
-        for comp, u in bullet(k, c, monomial("M", left)).terms.items():
-            acc[(comp, right)] += x * u
-    return TensorElem._trusted(stored(acc, dt * dc))
+    positive_index(k, "product index")
+    return TensorElem._words(bilinear(_m(c).terms, t.terms, lambda C, ab: (
+        (w, ab[1]) for w in _bullet_words(k, C, ab[0]))))
+
+
+def _leg_products(ab, cd) -> dict:
+    """(a (x) b)(c (x) d) = ac (x) bd on basis tensors, through the kernel."""
+    (a, b), (c, d) = ab, cd
+    right = quasi_shuffle(tuple(b), tuple(d)).items()
+    return {(lw, rw): lm * rm
+            for lw, lm in quasi_shuffle(tuple(a), tuple(c)).items() for rw, rm in right}
 
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    dt, nt = numerators(t.terms)
-    du, nu = numerators(u.terms)
-    acc = defaultdict(int)
-    for (a, b), x in nt.items():
-        for (c, d), y in nu.items():
-            left = mul(monomial("M", a), monomial("M", c))
-            right = mul(monomial("M", b), monomial("M", d))
-            xy = x * y
-            for lc, lv in left.terms.items():
-                for rc, rv in right.terms.items():
-                    acc[(lc, rc)] += xy * lv * rv
-    return TensorElem._trusted(stored(acc, dt * du))
+    return TensorElem._words(bilinear(t.terms, u.terms, _leg_products))
 
 
 def _collapse(t: TensorElem, product) -> QSymElem:
     """Sum of coeff * product(M_left, M_right) over t's terms."""
-    d, nums = numerators(t.terms)
-    acc = defaultdict(int)
-    for (left, right), x in nums.items():
-        for comp, u in product(monomial("M", left), monomial("M", right)).terms.items():
-            acc[comp] += x * u
-    return QSymElem._trusted("M", stored(acc, d))
+    return QSymElem._raw("M", linear(t.terms, lambda ab: product(
+        monomial("M", ab[0]), monomial("M", ab[1])).terms))
 
 
 def m_k(k: int, t: TensorElem) -> QSymElem:
@@ -167,18 +103,18 @@ def m_k(k: int, t: TensorElem) -> QSymElem:
 
 def counit_left(t: TensorElem) -> QSymElem:
     """(eps (x) id) applied to a tensor."""
-    return QSymElem._trusted("M", {right: c for (left, right), c in t.terms.items() if not left})
+    return QSymElem._raw("M", {right: c for (left, right), c in t.terms.items() if not left})
 
 
 def counit_right(t: TensorElem) -> QSymElem:
     """(id (x) eps) applied to a tensor."""
-    return QSymElem._trusted("M", {left: c for (left, right), c in t.terms.items() if not right})
+    return QSymElem._raw("M", {left: c for (left, right), c in t.terms.items() if not right})
 
 
 def antipode(a: QSymElem) -> QSymElem:
     """S(M_C) = (-1)^len(C) Mt_{reverse(C)}, returned in the M basis."""
     image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in _m(a).terms.items()}
-    return to_basis(QSymElem._trusted("Mt", image), "M")
+    return to_basis(QSymElem._words("Mt", image), "M")
 
 
 def antipode_F(c) -> QSymElem:
@@ -202,6 +138,4 @@ def antipode_axiom_right(a: QSymElem) -> QSymElem:
 def derivation_delta(n: int, a: QSymElem) -> QSymElem:
     """delta_n(a) = p_n a = m_n(Delta(a)): a commuting family of derivations
     of every o_k."""
-    if n < 1:
-        raise ValueError(f"derivation index must be a positive integer, got {n}")
-    return mul(monomial("M", (n,)), a)
+    return mul(monomial("M", (positive_index(n, "derivation index"),)), a)

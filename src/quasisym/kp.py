@@ -24,15 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from quasisym.composition import compositions_of
-from quasisym.elements import QSymElem, format_coeff, monomial, one, scale
+from quasisym.elements import (
+    QSymElem, bilinear, format_terms, linear, monomial, one, positive_index, scale, scaled_terms,
+    sum_terms,
+)
 from quasisym.products import bullet, mul
 
 
 def power_sum(n: int) -> QSymElem:
     """p_n, the n-th power sum."""
-    if n < 1:
-        raise ValueError(f"power sum index must be a positive integer, got {n}")
-    return monomial("M", (n,))
+    return monomial("M", (positive_index(n, "power sum index"),))
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +41,7 @@ def complete_h(n: int) -> QSymElem:
     """h_n, the sum of M_C over all compositions C of n."""
     if n < 0:
         raise ValueError(f"complete homogeneous index must be nonnegative, got {n}")
-    return QSymElem._trusted("M", dict.fromkeys(compositions_of(n), 1))
+    return QSymElem._raw("M", dict.fromkeys(compositions_of(n), 1))
 
 
 def partitions_of(n: int) -> list:
@@ -191,44 +192,27 @@ def sigma_terms(expr) -> list:
     sigma(a o b) = sigma(a) sigma(b) with factors concatenated.
     """
     terms = _sigma(expr)
-    acc = {}
-    for t in terms:
-        acc[t.factors] = acc.get(t.factors, Fraction(0)) + t.coeff
-    out = [PdeTerm(c, f) for f, c in acc.items() if c]
-    out.sort(key=lambda t: _term_key(t.factors))
-    return out
+    return [PdeTerm(terms[f], f) for f in sorted(terms, key=_term_key)]
 
 
 def _term_key(factors):
     return (len(factors), tuple((len(f), f) for f in factors))
 
 
-def _sigma(expr) -> list:
+def _sigma(expr) -> dict:
+    """sigma(expr) as a {factors: coefficient} map."""
     if isinstance(expr, PLeaf):
-        return [PdeTerm(-expr.coeff, (tuple(sorted(expr.parts)),))]
+        return scaled_terms(expr.coeff, {(tuple(sorted(expr.parts)),): -1})
     if isinstance(expr, SScale):
-        return [PdeTerm(expr.coeff * t.coeff, t.factors) for t in _sigma(expr.inner)]
+        return scaled_terms(expr.coeff, _sigma(expr.inner))
     if isinstance(expr, SSum):
-        out = []
-        for child in expr.children:
-            out.extend(_sigma(child))
-        return out
+        return sum_terms(*map(_sigma, expr.children))
     if isinstance(expr, SBullet):
-        out = []
-        for lt in _sigma(expr.left):
-            for rt in _sigma(expr.right):
-                out.append(PdeTerm(lt.coeff * rt.coeff, lt.factors + rt.factors))
-        return out
+        return bilinear(_sigma(expr.left), _sigma(expr.right), lambda f, g: (f + g,))
     if isinstance(expr, PTimes):
-        if expr.n < 1:
-            raise ValueError("derivative index must be a positive integer")
-        out = []
-        for t in _sigma(expr.inner):
-            for i in range(len(t.factors)):
-                factors = list(t.factors)
-                factors[i] = tuple(sorted(factors[i] + (expr.n,)))
-                out.append(PdeTerm(t.coeff, tuple(factors)))
-        return out
+        n = positive_index(expr.n, "derivative index")
+        return linear(_sigma(expr.inner), lambda f: (
+            f[:i] + (tuple(sorted(f[i] + (n,))),) + f[i + 1:] for i in range(len(f))))
     raise TypeError(f"not a sigma expression: {expr!r}")
 
 
@@ -246,18 +230,9 @@ def render_terms(terms, clear_denominators: bool = False, leading_positive: bool
         factor = Fraction(math.lcm(*(t.coeff.denominator for t in terms)))
     if leading_positive and terms[0].coeff * factor < 0:
         factor = -factor
-    bits = []
-    for t in terms:
-        coeff = t.coeff * factor
-        body = "*".join("phi_{" + ",".join(f"t{i}" for i in f) + "}" for f in t.factors)
-        mag = abs(coeff)
-        if mag != 1:
-            body = f"{format_coeff(mag)}*{body}"
-        if not bits:
-            bits.append(body if coeff > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(bits)
+    def phi(f):
+        return "phi_{" + ",".join(f"t{i}" for i in f) + "}"
+    return format_terms((t.coeff * factor, "*".join(map(phi, t.factors))) for t in terms)
 
 
 def sigma_render(expr, normalize: bool = False) -> str:

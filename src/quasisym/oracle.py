@@ -2,103 +2,63 @@
 
 Every basis element and every graded product has a defining summation over
 chains of indices; this module evaluates those summations literally,
-bypassing all structure constants, and provides exact sparse polynomial
-arithmetic to compare results.  Distinct compositions of length <= N have
-disjoint leading monomials in N variables, so comparing expansions at
-N >= total degree decides equality in QSym (lengths never exceed weights).
+bypassing all structure constants, into sparse `Polynomial`s to compare
+results.  Distinct compositions of length <= N have disjoint leading
+monomials in N variables, so comparing expansions at N >= total degree
+decides equality in QSym (lengths never exceed weights).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from fractions import Fraction
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, partial
+from itertools import accumulate
+from operator import mul
 
 from quasisym._core import chain_monomials
-from quasisym.elements import (
-    QSymElem, coefficient, format_coeff, numerators, scaled_terms, stored, sum_terms, to_basis,
-)
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, positive_index
 
 
-class Polynomial:
+class Polynomial(Sparse):
     """Sparse exact-rational polynomial in n ordered variables.
 
     Keys are dense exponent tuples of length n; zero coefficients are
     never stored.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = Sparse.space  # the space slot, read under its own name
+    _spaces = "variable counts"
 
     def __init__(self, n: int, terms=None):
         if n < 0:
             raise ValueError("number of variables must be nonnegative")
-        object.__setattr__(self, "n", n)
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = coefficient(coeff)
-            if not coeff:
-                continue
-            mono = tuple(mono)
-            if len(mono) != n or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono!r} for {n} variables")
-            clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
+        Sparse.__init__(self, n, terms)
 
-    @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "Polynomial":
-        """Exponent vectors the library built and stored coefficients, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-        return self
+    def _key(self, mono) -> tuple:
+        mono = tuple(mono)
+        if len(mono) != self.n or any(e < 0 for e in mono):
+            raise ValueError(f"bad exponent vector {mono!r} for {self.n} variables")
+        return mono
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _product(self, other):
+        """Exponent vectors add.  Packed as the base-`base` digits of one int,
+        with `base` above every exponent of the product, each pair of
+        monomials costs one int addition."""
+        base = 1 + _top(self) + _top(other)
+        powers = [base ** i for i in range(self.n)]
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
+        def packed(p):
+            return {sum(map(mul, mono, powers)): c for mono, c in p.terms.items()}
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        return Polynomial._trusted(self.n, sum_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return Polynomial._trusted(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial._trusted(self.n, scaled_terms(other, self.terms))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        d1, n1 = numerators(self.terms)
-        d2, n2 = numerators(other.terms)
-        acc = defaultdict(int)
-        for m1, c1 in n1.items():
-            for m2, c2 in n2.items():
-                acc[tuple(map(add, m1, m2))] += c1 * c2
-        return Polynomial._trusted(self.n, stored(acc, d1 * d2))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
+        sums = bilinear(packed(self), packed(other), lambda u, v: (u + v,))
+        out = {}
+        for v, c in sums.items():
+            mono = []
+            for _ in powers:
+                v, e = divmod(v, base)
+                mono.append(e)
+            out[tuple(mono)] = c
+        return Polynomial._raw(self.n, out)
 
     def set_last_to_zero(self) -> "Polynomial":
         """The polynomial with x_n = 0, over n-1 variables."""
@@ -107,43 +67,25 @@ class Polynomial:
             {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0},
         )
 
-    def sorted_terms(self):
+    @staticmethod
+    def _order(mono):
         # graded order, x1-dominant monomials first within a degree
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
-        )
+        return sum(mono), tuple(-e for e in mono)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if not body:
-                body = format_coeff(mag)
-            elif mag != 1:
-                body = f"{format_coeff(mag)}*{body}"
-            if not bits:
-                bits.append(body if coeff > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(bits)
+    @staticmethod
+    def _atom(mono) -> str:
+        return monomial_text(x=mono)
 
 
-def poly_zero(n: int) -> Polynomial:
-    return Polynomial(n, {})
+def monomial_text(**alphabets) -> str:
+    """``x1^2*x3*y2`` for x=(2, 0, 1), y=(0, 1, 0); "1" for no variable."""
+    return "*".join(f"{z}{i + 1}" if e == 1 else f"{z}{i + 1}^{e}"
+                    for z, exps in alphabets.items() for i, e in enumerate(exps) if e) or "1"
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
+def _top(p: Polynomial) -> int:
+    """The largest exponent in p."""
+    return max((max(mono, default=0) for mono in p.terms), default=0)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -156,73 +98,44 @@ def poly_equal(p: Polynomial, q: Polynomial) -> bool:
     return p.terms == q.terms
 
 
-def _chain_shape(basis: str, comp: tuple):
-    """Exponents and strictness pattern of a basis element's defining chain."""
-    if basis == "M":
-        return comp, (True,) * max(len(comp) - 1, 0)
-    if basis == "Mt":
-        return comp, (False,) * max(len(comp) - 1, 0)
-    # F: one variable slot per unit of weight, strict across block boundaries
-    exps = (1,) * sum(comp)
-    strict = []
-    boundary = set()
-    total = 0
-    for part in comp[:-1]:
-        total += part
-        boundary.add(total)
-    for pos in range(1, sum(comp)):
-        strict.append(pos in boundary)
-    return exps, tuple(strict)
-
-
 @lru_cache(maxsize=None)
-def _expand_basis(basis: str, comp: tuple, n: int) -> tuple:
-    exps, strict = _chain_shape(basis, comp)
-    return tuple(chain_monomials(tuple(exps), strict, n))
+def _expand_basis(basis: str, n: int, comp: tuple) -> tuple:
+    """The monomials of a basis element's defining chain in n variables."""
+    if basis == "F":
+        # one variable slot per unit of weight, strict across block boundaries
+        boundary = set(accumulate(comp[:-1]))
+        exps, strict = (1,) * sum(comp), tuple(pos in boundary for pos in range(1, sum(comp)))
+    else:
+        exps, strict = tuple(comp), (basis == "M",) * max(len(comp) - 1, 0)
+    return tuple(chain_monomials(exps, strict, n))
 
 
 def expand(a: QSymElem, n: int) -> Polynomial:
     """Evaluate a in n variables straight from its basis's summation formula."""
     if n < 1:
         raise ValueError("need at least one variable")
-    d, nums = numerators(a.terms)
-    acc = defaultdict(int)
-    for comp, c in nums.items():
-        for mono in _expand_basis(a.basis, tuple(comp), n):
-            acc[mono] += c
-    return Polynomial._trusted(n, stored(acc, d))
+    return Polynomial._raw(n, linear(a.terms, partial(_expand_basis, a.basis, n)))
+
+
+def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> list:
+    """Monomials of the chain A, k, B: strict inside A and B; o_k is strict
+    before the new slot and weak after, o^_k the other way around."""
+    strict = [True] * max(len(A) - 1, 0)
+    if A:
+        strict.append(not hat)
+    if B:
+        strict.append(hat)
+    strict.extend([True] * max(len(B) - 1, 0))
+    return chain_monomials((*A, k, *B), tuple(strict), n)
 
 
 def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -> Polynomial:
-    """Evaluate a o_k b (or a o^_k b) by its defining chained summation.
-
-    The chain is A's parts, then the new exponent k, then B's parts, strict
-    inside A and B; o_k is strict before the new slot and weak after, o^_k
-    the other way around.
-    """
-    if k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k}")
+    """Evaluate a o_k b (or a o^_k b) by its defining chained summation."""
+    positive_index(k, "product index")
     if n < 1:
         raise ValueError("need at least one variable")
-    a = to_basis(a, "M") if a.basis != "M" else a
-    b = to_basis(b, "M") if b.basis != "M" else b
-    da, na = numerators(a.terms)
-    db, nb = numerators(b.terms)
-    acc = defaultdict(int)
-    for A, ca in na.items():
-        for B, cb in nb.items():
-            coeff = ca * cb
-            exps = tuple(A) + (k,) + tuple(B)
-            strict = []
-            strict.extend([True] * max(len(A) - 1, 0))
-            if A:
-                strict.append(not hat)
-            if B:
-                strict.append(hat)
-            strict.extend([True] * max(len(B) - 1, 0))
-            for mono in chain_monomials(exps, tuple(strict), n):
-                acc[mono] += coeff
-    return Polynomial._trusted(n, stored(acc, da * db))
+    image = partial(_bullet_chain, k, n, hat)
+    return Polynomial._raw(n, bilinear(_m(a).terms, _m(b).terms, image))
 
 
 def certify_equal(a: QSymElem, b: QSymElem) -> bool:

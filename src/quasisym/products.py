@@ -17,61 +17,48 @@ conversion; the oracle module checks all of them against direct summation.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import partial
 
 from quasisym._core import quasi_shuffle
 from quasisym.composition import Composition, elementary_compose, elementary_decompose
-from quasisym.elements import QSymElem, monomial, numerators, one, stored, to_basis
-
-
-def _m(a: QSymElem) -> QSymElem:
-    return a if a.basis == "M" else to_basis(a, "M")
+from quasisym.elements import QSymElem, _m, bilinear, monomial, one, positive_index
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Ordinary (quasi-shuffle) product; commutative and associative."""
-    da, na = numerators(_m(a).terms)
-    db, nb = numerators(_m(b).terms)
-    acc = defaultdict(int)
-    for A, ca in na.items():
-        for B, cb in nb.items():
-            c = ca * cb
-            for word, mult in quasi_shuffle(tuple(A), tuple(B)).items():
-                acc[word] += c * mult
-    return QSymElem._trusted("M", stored(acc, da * db))
+    return QSymElem._words("M", bilinear(_parts(a), _parts(b), quasi_shuffle))
+
+
+def _parts(a: QSymElem) -> dict:
+    """M-basis terms keyed by plain part tuples, as the kernel takes them: on a
+    Composition its recursion would build checked Compositions through __radd__."""
+    return {tuple(c): v for c, v in _m(a).terms.items()}
 
 
 def _bullet_words(k: int, A: tuple, B: tuple):
-    """(word, 1)-terms of M_A o_k M_B."""
+    """The words C of the terms M_C of M_A o_k M_B, each with coefficient 1.
+
+    Words are built by unpacking, so a Composition A or B gives plain tuples.
+    """
     if not B:
-        yield A + (k,)
+        yield (*A, k)
     else:
-        yield A + (k,) + B
-        yield A + (k + B[0],) + B[1:]
+        yield (*A, k, *B)
+        yield (*A, k + B[0], *B[1:])
 
 
 def _hat_words(k: int, A: tuple, B: tuple):
-    """(word, 1)-terms of M_A o^_k M_B (merge happens on the left)."""
+    """The words of M_A o^_k M_B (merge happens on the left)."""
     if not A:
-        yield (k,) + B
+        yield (k, *B)
     else:
-        yield A + (k,) + B
-        yield A[:-1] + (A[-1] + k,) + B
+        yield (*A, k, *B)
+        yield (*A[:-1], A[-1] + k, *B)
 
 
-def _bilinear(words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
-    # k becomes a part of unchecked result words, so it is checked like one
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k!r}")
-    da, na = numerators(_m(a).terms)
-    db, nb = numerators(_m(b).terms)
-    acc = defaultdict(int)
-    for A, ca in na.items():
-        for B, cb in nb.items():
-            c = ca * cb
-            for word in words(k, tuple(A), tuple(B)):
-                acc[word] += c
-    return QSymElem._trusted("M", stored(acc, da * db))
+def _bilinear(product_words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
+    image = partial(product_words, positive_index(k, "product index"))
+    return QSymElem._words("M", bilinear(_m(a).terms, _m(b).terms, image))
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -92,9 +79,7 @@ def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     applied recursively until only o_1 remains.  Exists to demonstrate that
     1 and o_1 generate everything; `bullet` is the native implementation.
     """
-    if k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k}")
-    if k == 1:
+    if positive_index(k, "product index") == 1:
         return bullet(1, a, b)
     return bullet_via_first(k - 1, a, bullet(1, one(), b)) - bullet(
         1, bullet_via_first(k - 1, a, one()), b
@@ -103,7 +88,7 @@ def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
 
 def reverse_map(a: QSymElem) -> QSymElem:
     """Linear extension of M_C -> M_{reverse(C)}."""
-    return QSymElem._trusted("M", {c[::-1]: v for c, v in _m(a).terms.items()})
+    return QSymElem._words("M", {c[::-1]: v for c, v in _m(a).terms.items()})
 
 
 # -- closed forms on the Mt and F bases -----------------------------------
@@ -115,8 +100,7 @@ def bullet_tilde(k: int, left, right) -> QSymElem:
     Mt_{A(m,k)right} - Mt_{A(m+k)right}; for empty left it is the recursion
     Mt_{(k)right} = 1 o_k Mt_right.
     """
-    if k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k}")
+    positive_index(k, "product index")
     left, right = Composition(left), Composition(right)
     if not left:
         return monomial("Mt", (k,) + tuple(right))

@@ -1,107 +1,71 @@
 """Two-alphabet truncation: polynomials in x_1..x_N, y_1..y_N with the
 graded products defined through per-monomial min/max index windows.
 
-Elements are kept concretely as truncated polynomials (no structure
-constants are assumed for this extension).  Generated from 1 by the
-products, they specialize to the one-alphabet picture at y = 0 and are
-t-independent under the substitution x_i = y_i = t, the defining property
-of the supersymmetric world.
+Elements are kept concretely as truncated polynomials on the sparse core
+(no structure constants are assumed for this extension).  Generated from 1
+by the products, they specialize to the one-alphabet picture at y = 0 and
+are t-independent under the substitution x_i = y_i = t, the defining
+property of the supersymmetric world.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 
 from quasisym.composition import Composition, compositions_of
-from quasisym.elements import coefficient, numerators, scaled_terms, stored, sum_terms
+from quasisym.elements import Sparse, bilinear, linear, positive_index
+from quasisym.oracle import Polynomial, monomial_text
 
 
-class QssPoly:
+class QssPoly(Sparse):
     """Sparse polynomial over two interleaved alphabets of N variables each.
 
     Keys are pairs (x-exponent tuple, y-exponent tuple), both of length N.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    n = Sparse.space  # the space slot, read under its own name
+    _spaces = "truncation levels"
 
     def __init__(self, n: int, terms=None):
         if n < 1:
             raise ValueError("need at least one variable per alphabet")
-        object.__setattr__(self, "n", n)
-        clean = {}
-        for (xe, ye), coeff in (terms or {}).items():
-            coeff = coefficient(coeff)
-            if not coeff:
-                continue
-            xe, ye = tuple(xe), tuple(ye)
-            if len(xe) != n or len(ye) != n or any(e < 0 for e in xe + ye):
-                raise ValueError("bad exponent vectors")
-            clean[(xe, ye)] = coeff
-        object.__setattr__(self, "terms", clean)
+        Sparse.__init__(self, n, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QssPoly is immutable")
+    def _key(self, key) -> tuple:
+        xe, ye = key
+        xe, ye = tuple(xe), tuple(ye)
+        if len(xe) != self.n or len(ye) != self.n or any(e < 0 for e in xe + ye):
+            raise ValueError("bad exponent vectors")
+        return xe, ye
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError(f"truncation levels differ: {self.n} vs {other.n}")
+    def _product(self, other):
+        return QssPoly._raw(self.n, bilinear(self.terms, other.terms, _merge))
 
-    def __add__(self, other):
-        if not isinstance(other, QssPoly):
-            return NotImplemented
-        self._check(other)
-        return QssPoly(self.n, sum_terms(self.terms, other.terms))
+    @staticmethod
+    def _order(key):
+        return Polynomial._order(key[0] + key[1])
 
-    def __neg__(self):
-        return QssPoly(self.n, {k: -v for k, v in self.terms.items()})
+    @staticmethod
+    def _atom(key) -> str:
+        return monomial_text(x=key[0], y=key[1])
 
-    def __sub__(self, other):
-        if not isinstance(other, QssPoly):
-            return NotImplemented
-        return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QssPoly(self.n, scaled_terms(other, self.terms))
-        if not isinstance(other, QssPoly):
-            return NotImplemented
-        self._check(other)
-        d1, n1 = numerators(self.terms)
-        d2, n2 = numerators(other.terms)
-        acc = defaultdict(int)
-        for (x1, y1), c1 in n1.items():
-            for (x2, y2), c2 in n2.items():
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(y1, y2)),
-                )
-                acc[key] += c1 * c2
-        return QssPoly(self.n, stored(acc, d1 * d2))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, QssPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
+def _merge(ka, kb) -> tuple:
+    """The product of two monomials, as a one-key image."""
+    return ((tuple(p + q for p, q in zip(ka[0], kb[0])),
+             tuple(p + q for p, q in zip(ka[1], kb[1]))),)
 
 
 def qss_one(n: int) -> QssPoly:
     return QssPoly(n, {((0,) * n, (0,) * n): 1})
 
 
-def _support_window(xe, ye):
-    """(min index, max index) over both alphabets, or None for the constant."""
-    idx = [i for i, e in enumerate(xe) if e] + [i for i, e in enumerate(ye) if e]
-    if not idx:
-        return None
-    return (min(idx), max(idx))
+def _used(key) -> list:
+    """The indices of the variables a monomial uses, both alphabets pooled."""
+    return [i for exps in key for i, e in enumerate(exps) if e]
 
 
 def _mono_mul(key, i, alphabet, k):
@@ -112,6 +76,17 @@ def _mono_mul(key, i, alphabet, k):
     else:
         ye = ye[:i] + (ye[i] + k,) + ye[i + 1 :]
     return (xe, ye)
+
+
+def _bullet_image(k: int, n: int, ka, kb) -> dict:
+    """The monomials of M_ka o_k M_kb with their signs (see qss_bullet)."""
+    top = max(_used(ka), default=-1)  # M(a); -1 for the constant
+    low = min(_used(kb), default=n)  # m(b); n for the constant
+    (merged,) = _merge(ka, kb)
+    # x_i for M(a) < i <= m(b), y_i for M(a) <= i < m(b), all within 0..n-1
+    out = {_mono_mul(merged, i, "x", k): 1 for i in range(top + 1, min(low + 1, n))}
+    out.update((_mono_mul(merged, i, "y", k), -1) for i in range(max(top, 0), low))
+    return out
 
 
 def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
@@ -127,45 +102,14 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
 
     Ranges with no admissible index contribute zero.
     """
-    if k < 1:
-        raise ValueError(f"product index must be a positive integer, got {k}")
-    a._check(b)
-    n = a.n
-    da, na = numerators(a.terms)
-    db, nb = numerators(b.terms)
-    acc = defaultdict(int)
-    for ka, ca in na.items():
-        wa = _support_window(*ka)
-        for kb, cb in nb.items():
-            wb = _support_window(*kb)
-            coeff = ca * cb
-            merged = (
-                tuple(p + q for p, q in zip(ka[0], kb[0])),
-                tuple(p + q for p, q in zip(ka[1], kb[1])),
-            )
-            if wa is None and wb is None:
-                x_lo, x_hi = 0, n  # half-open index ranges
-                y_lo, y_hi = 0, n
-            elif wa is None:
-                x_lo, x_hi = 0, wb[0] + 1
-                y_lo, y_hi = 0, wb[0]
-            elif wb is None:
-                x_lo, x_hi = wa[1] + 1, n
-                y_lo, y_hi = wa[1], n
-            else:
-                x_lo, x_hi = wa[1] + 1, wb[0] + 1
-                y_lo, y_hi = wa[1], wb[0]
-            for i in range(x_lo, x_hi):
-                acc[_mono_mul(merged, i, "x", k)] += coeff
-            for i in range(y_lo, y_hi):
-                acc[_mono_mul(merged, i, "y", k)] -= coeff
-    return QssPoly(n, stored(acc, da * db))
+    image = partial(_bullet_image, positive_index(k, "product index"), a.n)
+    a._align(b)
+    return QssPoly._raw(a.n, bilinear(a.terms, b.terms, image))
 
 
 def qss_p(r: int, n: int) -> QssPoly:
     """The generator sum_{i=1}^N (x_i^r - y_i^r); equals 1 o_r 1."""
-    if r < 1:
-        raise ValueError(f"generator index must be a positive integer, got {r}")
+    positive_index(r, "generator index")
     terms = {}
     zero = (0,) * n
     for i in range(n):
@@ -203,17 +147,12 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     """
     if not 0 <= i < a.n:
         raise ValueError(f"index out of range: {i}")
-    by_degree = defaultdict(int)
-    for (xe, ye), coeff in a.terms.items():
-        d = xe[i] + ye[i]
-        if d == 0:
-            continue
-        residual = (
-            xe[:i] + (0,) + xe[i + 1 :],
-            ye[:i] + (0,) + ye[i + 1 :],
-        )
-        by_degree[(d, residual)] += coeff
-    return not any(by_degree.values())
+
+    def by_degree(key):
+        xe, ye = key
+        if xe[i] + ye[i]:
+            yield xe[i] + ye[i], (xe[:i] + (0,) + xe[i + 1 :], ye[:i] + (0,) + ye[i + 1 :])
+    return not linear(a.terms, by_degree)
 
 
 def pbup_transcription(r: int, s: int, n: int) -> QssPoly:

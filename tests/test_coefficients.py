@@ -7,11 +7,14 @@ import pytest
 
 from quasisym.composition import Composition
 from quasisym.elements import QSymElem, coefficient, monomial, scale, to_basis
-from quasisym.hopf import TensorElem, coproduct
+from quasisym.hopf import (
+    TensorElem, antipode, coproduct, counit_left, m_k, tensor_bullet_left, tensor_bullet_right,
+    tensor_mul, tensor_of,
+)
 from quasisym.kp import complete_h
-from quasisym.oracle import Polynomial, expand
-from quasisym.products import bullet, hat_bullet, mul
-from quasisym.qss import QssPoly
+from quasisym.oracle import Polynomial, expand, expand_bullet
+from quasisym.products import bullet, bullet_via_first, hat_bullet, mul, reverse_map
+from quasisym.qss import QssPoly, qss_bullet, qss_one, qss_p
 
 
 def test_coefficient_normal_form():
@@ -79,6 +82,18 @@ def test_product_index_is_checked_like_a_part(k):
             product(k, monomial("M", (1,)), monomial("M", (2,)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: expand_bullet(1.5, monomial("M", (1,)), monomial("M", (1,)), 2),
+    lambda: qss_bullet(1.5, qss_one(2), qss_one(2)),
+    lambda: qss_p(True, 2),
+    lambda: bullet_via_first(2.0, monomial("M", (1,)), monomial("M", (1,))),
+], ids=["expand_bullet", "qss_bullet", "qss_p", "bullet_via_first"])
+def test_every_index_is_checked_like_a_part(call):
+    # the index becomes an exponent or a part of keys built without checks
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_kernel_results_are_compositions():
     a = QSymElem("M", {(1, 2): 3, (2,): Fraction(-1, 3)})
     b = to_basis(QSymElem("F", {(1, 1): 2}), "Mt")
@@ -87,3 +102,17 @@ def test_kernel_results_are_compositions():
     for left, right in coproduct(a).terms:
         assert type(left) is Composition and type(right) is Composition
     assert expand(mul(a, b), 2) == expand(a, 2) * expand(b, 2)
+
+
+def test_results_built_from_kernel_words_are_keyed_by_compositions():
+    a = QSymElem("F", {(1, 2): 3, (2,): Fraction(-1, 3)})
+    b = QSymElem("Mt", {(1,): 2, (): 1})
+    t = coproduct(a)
+    tensors = [t, tensor_of(a, b), tensor_bullet_right(t, 2, b), tensor_bullet_left(b, 1, t),
+               tensor_mul(t, coproduct(b)), 2 * t - t]
+    for e in tensors:
+        assert all(type(c) is Composition for pair in e.terms for c in pair)
+    elems = [hat_bullet(1, a, b), antipode(a), reverse_map(a), m_k(2, t), counit_left(t),
+             scale(2, a), complete_h(3) - a]
+    for e in elems:
+        assert all(type(c) is Composition for c in e.terms)

@@ -53,6 +53,16 @@ def test_coassociativity_weight_6():
         assert left == right
 
 
+def test_tensor_scalars_and_signed_printing():
+    t = coproduct(M(1))
+    assert t * 2 == 2 * t == T(((), (1,), 2), ((1,), (), 2))
+    assert t * Fraction(1, 2) == Fraction(1, 2) * t
+    with pytest.raises(TypeError):
+        t * 0.5
+    assert repr(coproduct(-2 * M(1, 2))) == "-2*1 (x) M[1,2] - 2*M[1] (x) M[2] - 2*M[1,2] (x) 1"
+    assert repr(TensorElem()) == "0"
+
+
 def test_counit_laws():
     for c in enumerate_compositions(5):
         e = M(*c)

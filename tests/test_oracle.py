@@ -11,7 +11,6 @@ from quasisym.oracle import (
     expand_bullet,
     poly_equal,
     poly_mul,
-    poly_zero,
 )
 from quasisym.products import bullet, hat_bullet, mul
 
@@ -30,7 +29,7 @@ def test_expand_basis_examples():
     assert expand(monomial("F", (2,)), 2) == P(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert expand(monomial("Mt", (1, 1)), 2) == P(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert expand(one(), 3) == P(3, {(0, 0, 0): 1})
-    assert expand(M(1, 1, 1, 1), 3) == poly_zero(3)
+    assert expand(M(1, 1, 1, 1), 3) == Polynomial(3)
 
 
 def test_expand_matches_base_change():
@@ -55,13 +54,13 @@ def test_f31_adjudication():
 
 def test_poly_ops():
     p = expand(M(1), 3)
-    assert poly_equal(p - p, poly_zero(3))
+    assert poly_equal(p - p, Polynomial(3))
     q = poly_mul(p, p)
     assert q == expand(mul(M(1), M(1)), 3)
     with pytest.raises(ValueError):
-        poly_equal(p, poly_zero(2))
+        poly_equal(p, Polynomial(2))
     with pytest.raises(ValueError):
-        poly_mul(p, poly_zero(2))
+        poly_mul(p, Polynomial(2))
     assert 2 * p == p + p
 
 
@@ -114,5 +113,5 @@ def test_certify_equal():
 def test_polynomial_printing():
     p = expand(M(2, 1), 3) + expand(M(1, 1, 1), 3)
     assert repr(p) == "x1^2*x2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
-    assert repr(poly_zero(2)) == "0"
+    assert repr(Polynomial(2)) == "0"
     assert repr(P(2, {(0, 0): Fraction(-3, 2), (1, 0): 1})) == "-3/2 + x1"

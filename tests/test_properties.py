@@ -12,8 +12,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, monomial, to_basis
-from quasisym.hopf import antipode, coproduct
+from quasisym.elements import QSymElem, counit, monomial, one, to_basis
+from quasisym.hopf import (
+    antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k, tensor_bullet_left,
+    tensor_bullet_right, tensor_mul, tensor_of,
+)
 from quasisym.oracle import Polynomial, expand, expand_bullet
 from quasisym.products import bullet, hat_bullet, mul
 
@@ -130,3 +133,35 @@ def test_bilinearity_with_denominators(a, b, c, r, s, k):
     for e in (r * a, r * a + c, a - a):
         assert_stored(e.terms)
     assert not a - a
+
+
+# -- operator laws on general elements ---------------------------------------
+
+@SETTINGS
+@given(elements(), elements(), st.integers(1, 2))
+def test_coproduct_is_a_derivation_of_bullet(a, b, n):
+    """Delta(a o_n b) = Delta(a) o_n b + a o_n Delta(b)."""
+    lhs = coproduct(bullet(n, a, b))
+    assert lhs == tensor_bullet_right(coproduct(a), n, b) + tensor_bullet_left(a, n, coproduct(b))
+
+
+@SETTINGS
+@given(elements())
+def test_antipode_axioms(a):
+    target = counit(a) * one()
+    assert antipode_axiom_left(a) == target
+    assert antipode_axiom_right(a) == target
+
+
+@SETTINGS
+@given(elements(), elements(), st.integers(1, 2))
+def test_antipode_reverses_bullet(a, b, n):
+    """S(a o_n b) = -S(b) o_n S(a)."""
+    assert antipode(bullet(n, a, b)) == -bullet(n, antipode(b), antipode(a))
+
+
+@SETTINGS
+@given(elements(), elements(), elements(), st.integers(1, 2))
+def test_distributivity(a, b, c, m):
+    """c (a o_m b) = m_m(Delta(c) (a (x) b))."""
+    assert mul(c, bullet(m, a, b)) == m_k(m, tensor_mul(coproduct(c), tensor_of(a, b)))

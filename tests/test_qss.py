@@ -29,9 +29,15 @@ def test_qss_poly_basics():
     assert p == QP(2, {((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1, ((0, 0), (1, 0)): -1, ((0, 0), (0, 1)): -1})
     assert p - p == QssPoly(2)
     with pytest.raises(ValueError):
-        qss_p(1, 2)._check(qss_p(1, 3))
+        qss_p(1, 2) + qss_p(1, 3)
     with pytest.raises(ValueError):
         QssPoly(0)
+
+
+def test_qss_poly_printing():
+    assert repr(qss_p(1, 2)) == "x1 + x2 - y1 - y2"
+    assert repr(QP(2, {((1, 0), (0, 2)): Fraction(3, 2), ((0, 0), (0, 0)): -1})) == "-1 + 3/2*x1*y2^2"
+    assert repr(QssPoly(2)) == "0"
 
 
 def test_qss_bullet_examples():
