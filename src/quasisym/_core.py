@@ -4,7 +4,9 @@
 words for two compositions; ``chain_monomials`` enumerates the monomials of
 a chained-inequality summation over a finite alphabet.
 
-Returned dicts and lists are cached and shared: treat them as read-only.
+Results are cached and shared.  ``chain_monomials`` returns a tuple, so
+its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
+must be treated as read-only.
 """
 
 from functools import lru_cache
@@ -30,7 +32,7 @@ def quasi_shuffle(a: tuple, b: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def chain_monomials(exps: tuple, strict: tuple, n: int) -> list:
+def chain_monomials(exps: tuple, strict: tuple, n: int) -> tuple:
     """Exponent vectors of sum_{i_0 R_0 i_1 R_1 ... i_{L-1}} x_{i_0}^{e_0} ... x_{i_{L-1}}^{e_{L-1}}.
 
     exps gives the per-position exponents e_p; strict[p] selects < (True) or
@@ -40,7 +42,7 @@ def chain_monomials(exps: tuple, strict: tuple, n: int) -> list:
     """
     length = len(exps)
     if length == 0:
-        return [(0,) * n]
+        return ((0,) * n,)
     # positions p..end still need need[p] strict increments after index i_p
     need = [0] * length
     for p in range(length - 2, -1, -1):
@@ -62,7 +64,7 @@ def chain_monomials(exps: tuple, strict: tuple, n: int) -> list:
             rec(pos + 1, i + step)
             vec[i] -= e
     rec(0, 0)
-    return out
+    return tuple(out)
 
 
 def clear_caches():

@@ -12,6 +12,18 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+def positive_index(k, what: str, least: int = 1) -> int:
+    """k if it is an int >= least; bools, floats and the rest raise ValueError.
+
+    The one integer rule: every part, index, variable count and exponent in
+    the package goes through it, because each ends up in keys that are not
+    checked again.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {k!r}")
+    return k
+
+
 class Composition(tuple):
     """An immutable sequence of positive integers, possibly empty.
 
@@ -28,8 +40,7 @@ class Composition(tuple):
     def __new__(cls, parts=()):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"composition parts must be positive integers, got {p!r}")
+            positive_index(p, "composition part")
         return super().__new__(cls, parts)
 
     @property
@@ -64,12 +75,10 @@ def reverse(c) -> Composition:
     return Composition(tuple(c)[::-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def compositions_of(n: int) -> tuple:
     """All compositions of weight n, sorted canonically. 2^(n-1) of them for n >= 1."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    if n == 0:
+    if positive_index(n, "weight", least=0) == 0:
         return (EMPTY,)
     out = []
     for first in range(1, n + 1):
@@ -81,10 +90,8 @@ def compositions_of(n: int) -> tuple:
 
 def enumerate_compositions(max_weight: int) -> list:
     """All compositions of weight 0..max_weight in canonical order."""
-    if max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
     out = []
-    for n in range(max_weight + 1):
+    for n in range(positive_index(max_weight, "max_weight", least=0) + 1):
         out.extend(compositions_of(n))
     return out
 
@@ -154,10 +161,8 @@ def elementary_compose(blocks) -> Composition:
     """Inverse of elementary_decompose."""
     parts = []
     for j, (m, n) in enumerate(blocks):
-        if m < 0 or n < 0:
-            raise ValueError("block parameters must be nonnegative")
-        parts.append(m + 1 if j == 0 else m + 2)
-        parts.extend([1] * n)
+        parts.append(positive_index(m, "block parameter", least=0) + (1 if j == 0 else 2))
+        parts.extend([1] * positive_index(n, "block parameter", least=0))
     return Composition(parts)
 
 

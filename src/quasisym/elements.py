@@ -51,17 +51,6 @@ def coefficient(x):
     raise TypeError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
 
-def positive_index(k, what: str) -> int:
-    """k if it is a positive int; bools, floats and the rest raise ValueError.
-
-    Product indices become parts or exponents of keys that are not checked
-    again, so they are checked here like a part.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"{what} must be a positive integer, got {k!r}")
-    return k
-
-
 def numerators(terms: dict):
     """(d, nums) with terms[key] == nums[key] / d, d the lcm of the denominators."""
     d = lcm(*[v.denominator for v in terms.values()])

@@ -11,10 +11,8 @@ graded products by exchanging left and right with a sign.
 from __future__ import annotations
 
 from quasisym._core import quasi_shuffle
-from quasisym.composition import Composition, canonical_key, omega
-from quasisym.elements import (
-    QSymElem, Sparse, _m, bilinear, linear, monomial, positive_index, to_basis,
-)
+from quasisym.composition import Composition, canonical_key, omega, positive_index
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, monomial, to_basis
 from quasisym.products import _bullet_words, bullet, mul
 
 

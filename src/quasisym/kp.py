@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from quasisym.composition import compositions_of
+from quasisym.composition import compositions_of, positive_index
 from quasisym.elements import (
-    QSymElem, bilinear, format_terms, linear, monomial, one, positive_index, scale, scaled_terms,
-    sum_terms,
+    QSymElem, bilinear, format_terms, linear, monomial, one, scale, scaled_terms, sum_terms,
 )
 from quasisym.products import bullet, mul
 
@@ -36,11 +35,10 @@ def power_sum(n: int) -> QSymElem:
     return monomial("M", (positive_index(n, "power sum index"),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def complete_h(n: int) -> QSymElem:
     """h_n, the sum of M_C over all compositions C of n."""
-    if n < 0:
-        raise ValueError(f"complete homogeneous index must be nonnegative, got {n}")
+    n = positive_index(n, "complete homogeneous index", least=0)
     return QSymElem._raw("M", dict.fromkeys(compositions_of(n), 1))
 
 
@@ -59,10 +57,8 @@ def elementary_schur(n: int) -> dict:
     sum k m_k = n is 1 / prod m_k!.  Substituting t_k = p_k / k recovers
     h_n (equivalently h_n = sum over partitions of p_lambda / z_lambda).
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
     out = {}
-    for lam in partitions_of(n):
+    for lam in partitions_of(positive_index(n, "elementary Schur index", least=0)):
         coeff = Fraction(1)
         for part in set(lam):
             coeff /= math.factorial(lam.count(part))
@@ -83,8 +79,7 @@ def schur_substitution(n: int) -> QSymElem:
 
 def kp_identity(m: int, n: int):
     """Both sides of the (m, n) identity; their difference is 0 in QSym."""
-    if m < 1 or n < 1:
-        raise ValueError("identity indices must be positive integers")
+    m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     lhs = mul(complete_h(m), complete_h(n + 1)) - mul(complete_h(m + 1), complete_h(n))
     rhs = QSymElem("M", {})
     for k in range(1, m + 1):
@@ -115,9 +110,9 @@ class PLeaf:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("sigma is undefined on constants: partition must be nonempty")
-        if any(p < 1 for p in self.parts) or any(
-            self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)
-        ):
+        for p in self.parts:
+            positive_index(p, "partition part")
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"not a partition: {self.parts!r}")
 
 
@@ -151,11 +146,13 @@ def p_leaf(coeff, parts) -> PLeaf:
 
 
 def h_leaf_sum(n: int) -> SSum:
-    """h_n as a sum of p_lambda leaves (coefficients 1 / z_lambda)."""
-    if n < 1:
-        raise ValueError("h_0 has nonzero counit; use it only inside ordinary products")
+    """h_n as a sum of p_lambda leaves (coefficients 1 / z_lambda).
+
+    n >= 1: h_0 has nonzero counit, so it appears only inside ordinary products.
+    """
     leaves = []
-    for lam, coeff in sorted(elementary_schur(n).items(), key=lambda kv: tuple(kv[0])):
+    schur = elementary_schur(positive_index(n, "leaf sum index"))
+    for lam, coeff in sorted(schur.items(), key=lambda kv: tuple(kv[0])):
         for part in lam:
             coeff = coeff / part
         leaves.append(PLeaf(coeff, tuple(lam)))
@@ -216,20 +213,19 @@ def _sigma(expr) -> dict:
     raise TypeError(f"not a sigma expression: {expr!r}")
 
 
-def render_terms(terms, clear_denominators: bool = False, leading_positive: bool = False) -> str:
+def render_terms(terms, normalize: bool = False) -> str:
     """Deterministic text for a collected term list.
 
-    With clear_denominators the whole expression is scaled by the least
-    common denominator; with leading_positive the overall sign makes the
-    first term positive.
+    With normalize the whole expression is scaled by the least common
+    denominator, with the sign that makes the first term positive.
     """
     if not terms:
         return "0"
-    factor = Fraction(1)
-    if clear_denominators:
-        factor = Fraction(math.lcm(*(t.coeff.denominator for t in terms)))
-    if leading_positive and terms[0].coeff * factor < 0:
-        factor = -factor
+    factor = 1
+    if normalize:
+        factor = math.lcm(*(t.coeff.denominator for t in terms))
+        if terms[0].coeff < 0:
+            factor = -factor
     def phi(f):
         return "phi_{" + ",".join(f"t{i}" for i in f) + "}"
     return format_terms((t.coeff * factor, "*".join(map(phi, t.factors))) for t in terms)
@@ -237,13 +233,12 @@ def render_terms(terms, clear_denominators: bool = False, leading_positive: bool
 
 def sigma_render(expr, normalize: bool = False) -> str:
     """Text of sigma(expr); normalize scales away denominators and fixes the sign."""
-    return render_terms(sigma_terms(expr), clear_denominators=normalize, leading_positive=normalize)
+    return render_terms(sigma_terms(expr), normalize)
 
 
 def kp_sigma_expression(m: int, n: int) -> SSum:
     """Expression tree of the (m, n) identity's lhs - rhs, ready for sigma."""
-    if m < 1 or n < 1:
-        raise ValueError("identity indices must be positive integers")
+    m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     children = list(leaf_product(h_leaf_sum(m), h_leaf_sum(n + 1)).children)
     children.extend(SScale(Fraction(-1), leaf) for leaf in
                     leaf_product(h_leaf_sum(m + 1), h_leaf_sum(n)).children)

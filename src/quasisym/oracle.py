@@ -15,7 +15,8 @@ from itertools import accumulate
 from operator import mul
 
 from quasisym._core import chain_monomials
-from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, positive_index
+from quasisym.composition import positive_index
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear
 
 
 class Polynomial(Sparse):
@@ -30,15 +31,10 @@ class Polynomial(Sparse):
     _spaces = "variable counts"
 
     def __init__(self, n: int, terms=None):
-        if n < 0:
-            raise ValueError("number of variables must be nonnegative")
-        Sparse.__init__(self, n, terms)
+        Sparse.__init__(self, positive_index(n, "variable count", least=0), terms)
 
     def _key(self, mono) -> tuple:
-        mono = tuple(mono)
-        if len(mono) != self.n or any(e < 0 for e in mono):
-            raise ValueError(f"bad exponent vector {mono!r} for {self.n} variables")
-        return mono
+        return exponent_vector(mono, self.n)
 
     def _product(self, other):
         """Exponent vectors add.  Packed as the base-`base` digits of one int,
@@ -62,10 +58,8 @@ class Polynomial(Sparse):
 
     def set_last_to_zero(self) -> "Polynomial":
         """The polynomial with x_n = 0, over n-1 variables."""
-        return Polynomial(
-            self.n - 1,
-            {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0},
-        )
+        n = positive_index(self.n - 1, "variable count", least=0)
+        return Polynomial._raw(n, {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0})
 
     @staticmethod
     def _order(mono):
@@ -75,6 +69,14 @@ class Polynomial(Sparse):
     @staticmethod
     def _atom(mono) -> str:
         return monomial_text(x=mono)
+
+
+def exponent_vector(mono, n: int) -> tuple:
+    """mono as a tuple of n exponents, each an int >= 0."""
+    mono = tuple(positive_index(e, "exponent", least=0) for e in mono)
+    if len(mono) != n:
+        raise ValueError(f"bad exponent vector {mono!r} for {n} variables")
+    return mono
 
 
 def monomial_text(**alphabets) -> str:
@@ -107,17 +109,16 @@ def _expand_basis(basis: str, n: int, comp: tuple) -> tuple:
         exps, strict = (1,) * sum(comp), tuple(pos in boundary for pos in range(1, sum(comp)))
     else:
         exps, strict = tuple(comp), (basis == "M",) * max(len(comp) - 1, 0)
-    return tuple(chain_monomials(exps, strict, n))
+    return chain_monomials(exps, strict, n)
 
 
 def expand(a: QSymElem, n: int) -> Polynomial:
     """Evaluate a in n variables straight from its basis's summation formula."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    return Polynomial._raw(n, linear(a.terms, partial(_expand_basis, a.basis, n)))
+    image = partial(_expand_basis, a.basis, positive_index(n, "variable count"))
+    return Polynomial._raw(n, linear(a.terms, image))
 
 
-def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> list:
+def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> tuple:
     """Monomials of the chain A, k, B: strict inside A and B; o_k is strict
     before the new slot and weak after, o^_k the other way around."""
     strict = [True] * max(len(A) - 1, 0)
@@ -131,9 +132,7 @@ def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> list:
 
 def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -> Polynomial:
     """Evaluate a o_k b (or a o^_k b) by its defining chained summation."""
-    positive_index(k, "product index")
-    if n < 1:
-        raise ValueError("need at least one variable")
+    k, n = positive_index(k, "product index"), positive_index(n, "variable count")
     image = partial(_bullet_chain, k, n, hat)
     return Polynomial._raw(n, bilinear(_m(a).terms, _m(b).terms, image))
 

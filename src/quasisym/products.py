@@ -20,8 +20,10 @@ from __future__ import annotations
 from functools import partial
 
 from quasisym._core import quasi_shuffle
-from quasisym.composition import Composition, elementary_compose, elementary_decompose
-from quasisym.elements import QSymElem, _m, bilinear, monomial, one, positive_index
+from quasisym.composition import (
+    Composition, elementary_compose, elementary_decompose, positive_index,
+)
+from quasisym.elements import QSymElem, _m, bilinear, monomial, one
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -124,12 +126,10 @@ def bullet_F(A, right) -> QSymElem:
 
 def elementary_F(m: int, n: int) -> QSymElem:
     """L_1^m R_1^n (1 o_1 1): the M-basis value of F_{(m+1, 1^n)}."""
-    if m < 0 or n < 0:
-        raise ValueError("block parameters must be nonnegative")
     e = bullet(1, one(), one())
-    for _ in range(m):
+    for _ in range(positive_index(m, "block parameter", least=0)):
         e = bullet(1, one(), e)
-    for _ in range(n):
+    for _ in range(positive_index(n, "block parameter", least=0)):
         e = bullet(1, e, one())
     return e
 

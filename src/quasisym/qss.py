@@ -14,9 +14,9 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 
-from quasisym.composition import Composition, compositions_of
-from quasisym.elements import Sparse, bilinear, linear, positive_index
-from quasisym.oracle import Polynomial, monomial_text
+from quasisym.composition import Composition, compositions_of, positive_index
+from quasisym.elements import Sparse, bilinear, linear
+from quasisym.oracle import Polynomial, exponent_vector, monomial_text
 
 
 class QssPoly(Sparse):
@@ -30,16 +30,11 @@ class QssPoly(Sparse):
     _spaces = "truncation levels"
 
     def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("need at least one variable per alphabet")
-        Sparse.__init__(self, n, terms)
+        Sparse.__init__(self, positive_index(n, "variables per alphabet"), terms)
 
     def _key(self, key) -> tuple:
         xe, ye = key
-        xe, ye = tuple(xe), tuple(ye)
-        if len(xe) != self.n or len(ye) != self.n or any(e < 0 for e in xe + ye):
-            raise ValueError("bad exponent vectors")
-        return xe, ye
+        return exponent_vector(xe, self.n), exponent_vector(ye, self.n)
 
     def _product(self, other):
         return QssPoly._raw(self.n, bilinear(self.terms, other.terms, _merge))
@@ -60,7 +55,8 @@ def _merge(ka, kb) -> tuple:
 
 
 def qss_one(n: int) -> QssPoly:
-    return QssPoly(n, {((0,) * n, (0,) * n): 1})
+    zero = (0,) * positive_index(n, "variables per alphabet")
+    return QssPoly(n, {(zero, zero): 1})
 
 
 def _used(key) -> list:
@@ -111,7 +107,7 @@ def qss_p(r: int, n: int) -> QssPoly:
     """The generator sum_{i=1}^N (x_i^r - y_i^r); equals 1 o_r 1."""
     positive_index(r, "generator index")
     terms = {}
-    zero = (0,) * n
+    zero = (0,) * positive_index(n, "variables per alphabet")
     for i in range(n):
         xe = zero[:i] + (r,) + zero[i + 1 :]
         terms[(xe, zero)] = 1
@@ -145,7 +141,7 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     Collects a as a polynomial in t with two-alphabet coefficients and
     requires every coefficient of t^j, j >= 1, to vanish.
     """
-    if not 0 <= i < a.n:
+    if positive_index(i, "variable index", least=0) >= a.n:
         raise ValueError(f"index out of range: {i}")
 
     def by_degree(key):

@@ -1,20 +1,25 @@
 """Stored coefficients: an int when integral, a Fraction otherwise, never a float;
-composition parts are ints, never bools."""
+parts, indices, counts and exponents are ints, never bools or floats."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from quasisym.composition import Composition
+from quasisym.composition import (
+    Composition, compositions_of, elementary_compose, enumerate_compositions,
+)
 from quasisym.elements import QSymElem, coefficient, monomial, scale, to_basis
 from quasisym.hopf import (
     TensorElem, antipode, coproduct, counit_left, m_k, tensor_bullet_left, tensor_bullet_right,
     tensor_mul, tensor_of,
 )
-from quasisym.kp import complete_h
+from quasisym.kp import (
+    PLeaf, complete_h, elementary_schur, h_leaf_sum, kp_identity, kp_sigma_expression,
+)
 from quasisym.oracle import Polynomial, expand, expand_bullet
-from quasisym.products import bullet, bullet_via_first, hat_bullet, mul, reverse_map
-from quasisym.qss import QssPoly, qss_bullet, qss_one, qss_p
+from quasisym.products import bullet, bullet_via_first, elementary_F, hat_bullet, mul, reverse_map
+from quasisym.qss import QssPoly, qss_bullet, qss_one, qss_p, t_substitution_check
 
 
 def test_coefficient_normal_form():
@@ -82,16 +87,53 @@ def test_product_index_is_checked_like_a_part(k):
             product(k, monomial("M", (1,)), monomial("M", (2,)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: expand_bullet(1.5, monomial("M", (1,)), monomial("M", (1,)), 2),
-    lambda: qss_bullet(1.5, qss_one(2), qss_one(2)),
-    lambda: qss_p(True, 2),
-    lambda: bullet_via_first(2.0, monomial("M", (1,)), monomial("M", (1,))),
-], ids=["expand_bullet", "qss_bullet", "qss_p", "bullet_via_first"])
-def test_every_index_is_checked_like_a_part(call):
-    # the index becomes an exponent or a part of keys built without checks
-    with pytest.raises(ValueError):
-        call()
+M1 = monomial("M", (1,))
+
+# (id, call taking the integer, least allowed value)
+INTEGER_SITES = [
+    ("Composition", lambda v: Composition((1, v)), 1),
+    ("compositions_of", compositions_of, 0),
+    ("enumerate_compositions", enumerate_compositions, 0),
+    ("elementary_compose-m", lambda v: elementary_compose([(v, 0)]), 0),
+    ("elementary_compose-n", lambda v: elementary_compose([(0, v)]), 0),
+    ("complete_h", complete_h, 0),
+    ("elementary_schur", elementary_schur, 0),
+    ("kp_identity-m", lambda v: kp_identity(v, 1), 1),
+    ("kp_identity-n", lambda v: kp_identity(1, v), 1),
+    ("h_leaf_sum", h_leaf_sum, 1),
+    ("kp_sigma_expression-m", lambda v: kp_sigma_expression(v, 1), 1),
+    ("kp_sigma_expression-n", lambda v: kp_sigma_expression(1, v), 1),
+    ("PLeaf", lambda v: PLeaf(Fraction(1), (v,)), 1),
+    ("Polynomial-n", Polynomial, 0),
+    ("Polynomial-exponent", lambda v: Polynomial(2, {(1, v): 1}), 0),
+    ("expand-n", lambda v: expand(M1, v), 1),
+    ("expand_bullet-n", lambda v: expand_bullet(1, M1, M1, v), 1),
+    ("elementary_F-m", lambda v: elementary_F(v, 0), 0),
+    ("elementary_F-n", lambda v: elementary_F(0, v), 0),
+    ("QssPoly-n", QssPoly, 1),
+    ("QssPoly-exponent", lambda v: QssPoly(1, {((0,), (v,)): 1}), 0),
+    ("t_substitution_check", lambda v: t_substitution_check(qss_one(2), v), 0),
+    ("qss_p-n", lambda v: qss_p(1, v), 1),
+    ("qss_one", qss_one, 1),
+]
+
+
+@pytest.mark.parametrize("call, least, bad", [
+    pytest.param(lambda k: expand_bullet(k, M1, M1, 2), 1, 1.5, id="expand_bullet"),
+    pytest.param(lambda k: qss_bullet(k, qss_one(2), qss_one(2)), 1, 1.5, id="qss_bullet"),
+    pytest.param(lambda r: qss_p(r, 2), 1, True, id="qss_p"),
+    pytest.param(lambda k: bullet_via_first(k, M1, M1), 1, 2.0, id="bullet_via_first"),
+    pytest.param(lambda _: Polynomial(0, {(): 1}).set_last_to_zero(), 0, -1,
+                 id="set_last_to_zero"),
+] + [
+    pytest.param(call, least, bad, id=f"{name}-{kind}")
+    for name, call, least in INTEGER_SITES
+    for kind, bad in (("bool", True), ("float", float(least + 1)), ("below", least - 1))
+])
+def test_every_index_is_checked_like_a_part(call, least, bad):
+    # the integer becomes a part, an exponent or a count of keys built without checks
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer >= {least}, got {bad!r}")):
+        call(bad)
 
 
 def test_kernel_results_are_compositions():
