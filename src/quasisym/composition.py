@@ -96,14 +96,23 @@ def enumerate_compositions(max_weight: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+def _checked(c) -> Composition:
+    """c as a Composition; parts are checked before any cached lookup, because
+    (True, 2) and (1.0, 2) hash and compare equal to (1, 2)."""
+    return c if isinstance(c, Composition) else Composition(c)
+
+
 def coarsenings(c) -> frozenset:
     """All compositions obtained by summing runs of adjacent parts (c included).
 
     A coarsening picks a subset of the len(c)-1 internal gaps to merge, and
     distinct subsets give distinct results, so there are 2^(len(c)-1) of them.
     """
-    c = Composition(c)
+    return _coarsenings(_checked(c))
+
+
+@lru_cache(maxsize=None)
+def _coarsenings(c: Composition) -> frozenset:
     if len(c) <= 1:
         return frozenset({c})
     out = set()
@@ -119,10 +128,13 @@ def coarsenings(c) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def refinements(c) -> frozenset:
     """All D with c in coarsenings(D): split each part into an ordered sum."""
-    c = Composition(c)
+    return _refinements(_checked(c))
+
+
+@lru_cache(maxsize=None)
+def _refinements(c: Composition) -> frozenset:
     out = [EMPTY]
     for part in c:
         out = [prefix + piece for prefix in out for piece in compositions_of(part)]

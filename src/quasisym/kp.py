@@ -14,11 +14,24 @@ to mixed t-derivatives and o-products to noncommutative juxtaposition, the
 (1,2) member becomes the noncommutative KP equation.  The rendering acts
 on expression trees, not on evaluated elements: trees with equal values
 may print differently (the difference is a consequence of the hierarchy).
+
+The family is made of products h_m h_n, which `h_product` builds without
+the pairwise quasi-shuffle table of `mul`.  Every word of M_C M_D starts
+with C's first part, D's first part or their sum, and removing the first
+part i from all compositions of m leaves all compositions of m - i, so
+
+    h_m h_n = sum_i (i).(h_{m-i} h_n) + sum_j (j).(h_m h_{n-j})
+              + sum_{i,j} (i+j).(h_{m-i} h_{n-j}),
+
+where (i).X puts the part i in front of every word of X and h_0 = 1.
+That costs O(m n) passes over the smaller products instead of one
+quasi-shuffle per pair of the 2^(m-1) 2^(n-1) composition pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +53,35 @@ def complete_h(n: int) -> QSymElem:
     """h_n, the sum of M_C over all compositions C of n."""
     n = positive_index(n, "complete homogeneous index", least=0)
     return QSymElem._raw("M", dict.fromkeys(compositions_of(n), 1))
+
+
+@lru_cache(maxsize=None)
+def _h_words(m: int, n: int) -> tuple:
+    """(word, multiplicity) pairs of h_m h_n on the M basis, by the
+    first-part recursion in the module docstring.  A tuple, so the cached
+    entry cannot be changed through the result."""
+    if m > n:
+        return _h_words(n, m)  # the product is commutative
+    if m == 0:
+        return tuple((tuple(c), 1) for c in compositions_of(n))
+    acc = defaultdict(int)
+    for i in range(1, m + 1):
+        for w, x in _h_words(m - i, n):
+            acc[(i,) + w] += x
+        for j in range(1, n + 1):
+            for w, x in _h_words(m - i, n - j):
+                acc[(i + j,) + w] += x
+    for j in range(1, n + 1):
+        for w, x in _h_words(m, n - j):
+            acc[(j,) + w] += x
+    return tuple(acc.items())
+
+
+def h_product(m: int, n: int) -> QSymElem:
+    """h_m h_n, by the first-part recursion of `_h_words` instead of `mul`."""
+    m = positive_index(m, "complete homogeneous index", least=0)
+    n = positive_index(n, "complete homogeneous index", least=0)
+    return QSymElem._words("M", dict(_h_words(m, n)))
 
 
 def partitions_of(n: int) -> list:
@@ -80,12 +122,12 @@ def schur_substitution(n: int) -> QSymElem:
 def kp_identity(m: int, n: int):
     """Both sides of the (m, n) identity; their difference is 0 in QSym."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
-    lhs = mul(complete_h(m), complete_h(n + 1)) - mul(complete_h(m + 1), complete_h(n))
+    lhs = h_product(m, n + 1) - h_product(m + 1, n)
     rhs = QSymElem("M", {})
     for k in range(1, m + 1):
-        rhs = rhs + bullet(1, complete_h(k), mul(complete_h(m - k), complete_h(n)))
+        rhs = rhs + bullet(1, complete_h(k), h_product(m - k, n))
     for k in range(1, n + 1):
-        rhs = rhs - bullet(1, complete_h(k), mul(complete_h(n - k), complete_h(m)))
+        rhs = rhs - bullet(1, complete_h(k), h_product(n - k, m))
     return lhs, rhs
 
 

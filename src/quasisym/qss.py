@@ -159,8 +159,9 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
 
     kept as an independent cross-check of qss_bullet(1, p_r, p_s).
     """
+    r, s = positive_index(r, "generator index"), positive_index(s, "generator index")
     acc = defaultdict(int)
-    zero = (0,) * n
+    zero = (0,) * positive_index(n, "variables per alphabet")
 
     def add_products(i, j, k, middle, sign):
         # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s), z the middle alphabet

@@ -26,6 +26,7 @@ from quasisym.hopf import (
 )
 from quasisym.kp import (
     complete_h,
+    h_product,
     kp_classical_identity,
     kp_identity,
     power_sum,
@@ -256,10 +257,10 @@ def certify_kp(m: int, n: int, nvars: int) -> bool:
     )
     rhs = None
     for k in range(1, m + 1):
-        term = expand_bullet(1, h(k), mul(h(m - k), h(n)), nvars)
+        term = expand_bullet(1, h(k), h_product(m - k, n), nvars)
         rhs = term if rhs is None else rhs + term
     for k in range(1, n + 1):
-        rhs = rhs - expand_bullet(1, h(k), mul(h(n - k), h(m)), nvars)
+        rhs = rhs - expand_bullet(1, h(k), h_product(n - k, m), nvars)
     return lhs == rhs
 
 

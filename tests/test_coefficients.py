@@ -15,11 +15,13 @@ from quasisym.hopf import (
     tensor_mul, tensor_of,
 )
 from quasisym.kp import (
-    PLeaf, complete_h, elementary_schur, h_leaf_sum, kp_identity, kp_sigma_expression,
+    PLeaf, complete_h, elementary_schur, h_leaf_sum, h_product, kp_identity, kp_sigma_expression,
 )
 from quasisym.oracle import Polynomial, expand, expand_bullet
 from quasisym.products import bullet, bullet_via_first, elementary_F, hat_bullet, mul, reverse_map
-from quasisym.qss import QssPoly, qss_bullet, qss_one, qss_p, t_substitution_check
+from quasisym.qss import (
+    QssPoly, pbup_transcription, qss_bullet, qss_one, qss_p, t_substitution_check,
+)
 
 
 def test_coefficient_normal_form():
@@ -97,6 +99,8 @@ INTEGER_SITES = [
     ("elementary_compose-m", lambda v: elementary_compose([(v, 0)]), 0),
     ("elementary_compose-n", lambda v: elementary_compose([(0, v)]), 0),
     ("complete_h", complete_h, 0),
+    ("h_product-m", lambda v: h_product(v, 1), 0),
+    ("h_product-n", lambda v: h_product(1, v), 0),
     ("elementary_schur", elementary_schur, 0),
     ("kp_identity-m", lambda v: kp_identity(v, 1), 1),
     ("kp_identity-n", lambda v: kp_identity(1, v), 1),
@@ -115,6 +119,9 @@ INTEGER_SITES = [
     ("t_substitution_check", lambda v: t_substitution_check(qss_one(2), v), 0),
     ("qss_p-n", lambda v: qss_p(1, v), 1),
     ("qss_one", qss_one, 1),
+    ("pbup_transcription-r", lambda v: pbup_transcription(v, 1, 2), 1),
+    ("pbup_transcription-s", lambda v: pbup_transcription(1, v, 2), 1),
+    ("pbup_transcription-n", lambda v: pbup_transcription(1, 1, v), 1),
 ]
 
 

@@ -64,6 +64,18 @@ def test_refinements():
     assert refinements(C(4)) == frozenset(compositions_of(4))
 
 
+@pytest.mark.parametrize("bad", [(True, 2), (1.0, 2), (1, 2.0), (True, 2.0)])
+def test_cached_refinements_check_their_parts(bad):
+    # (True, 2) and (1.0, 2) hash and compare equal to (1, 2), so a cached
+    # entry for (1, 2) must not answer them
+    refinements((1, 2))
+    coarsenings((1, 2))
+    with pytest.raises(ValueError):
+        refinements(bad)
+    with pytest.raises(ValueError):
+        coarsenings(bad)
+
+
 def test_coarsen_refine_duality():
     for c in enumerate_compositions(5):
         assert c in coarsenings(c)

@@ -11,8 +11,10 @@ from quasisym.kp import (
     SBullet,
     SScale,
     SSum,
+    _h_words,
     complete_h,
     elementary_schur,
+    h_product,
     kp_classical_identity,
     kp_classical_sigma_expression,
     kp_identity,
@@ -23,6 +25,7 @@ from quasisym.kp import (
     sigma_render,
     sigma_terms,
 )
+from quasisym.oracle import expand, poly_mul
 from quasisym.products import bullet, mul
 from quasisym.suites import certify_kp
 
@@ -117,15 +120,39 @@ def test_kp_identity_small():
 
 def test_kp_identity_family_and_antisymmetry():
     results = {}
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(1, 7):
+        for n in range(1, 7):
             lhs, rhs = kp_identity(m, n)
             assert lhs == rhs, (m, n)
             results[(m, n)] = (lhs, rhs)
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(1, 7):
+        for n in range(1, 7):
             assert results[(m, n)][0] == -results[(n, m)][0]
             assert results[(m, n)][1] == -results[(n, m)][1]
+
+
+def test_h_product_equals_mul():
+    for m in range(7):
+        for n in range(7):
+            got = h_product(m, n)
+            assert got.basis == "M"
+            assert got.terms == mul(complete_h(m), complete_h(n)).terms, (m, n)
+            assert all(type(c) is Composition for c in got.terms)
+
+
+def test_h_product_against_the_oracle():
+    m, n = 3, 4
+    nvars = m + n
+    assert expand(h_product(m, n), nvars) == poly_mul(
+        expand(complete_h(m), nvars), expand(complete_h(n), nvars))
+
+
+def test_h_words_are_a_tuple():
+    # the cached entry is shared, so neither it nor its pairs may be mutable
+    words = _h_words(2, 3)
+    assert type(words) is tuple
+    assert all(type(pair) is tuple and type(pair[0]) is tuple for pair in words)
+    assert dict(words) == dict(_h_words(3, 2))
 
 
 def test_kp_oracle_certification():
