@@ -96,19 +96,15 @@ def enumerate_compositions(max_weight: int) -> list:
     return out
 
 
-def _checked(c) -> Composition:
-    """c as a Composition; parts are checked before any cached lookup, because
-    (True, 2) and (1.0, 2) hash and compare equal to (1, 2)."""
-    return c if isinstance(c, Composition) else Composition(c)
-
-
 def coarsenings(c) -> frozenset:
     """All compositions obtained by summing runs of adjacent parts (c included).
 
     A coarsening picks a subset of the len(c)-1 internal gaps to merge, and
     distinct subsets give distinct results, so there are 2^(len(c)-1) of them.
+    The parts are checked before the cached lookup, because (True, 2) and
+    (1.0, 2) hash and compare equal to (1, 2).
     """
-    return _coarsenings(_checked(c))
+    return _coarsenings(Composition(c))
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +125,11 @@ def _coarsenings(c: Composition) -> frozenset:
 
 
 def refinements(c) -> frozenset:
-    """All D with c in coarsenings(D): split each part into an ordered sum."""
-    return _refinements(_checked(c))
+    """All D with c in coarsenings(D): split each part into an ordered sum.
+
+    The parts are checked before the cached lookup, as in `coarsenings`.
+    """
+    return _refinements(Composition(c))
 
 
 @lru_cache(maxsize=None)

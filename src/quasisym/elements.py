@@ -32,9 +32,9 @@ from math import lcm
 from quasisym.composition import (
     Composition,
     EMPTY,
+    _coarsenings,
+    _refinements,
     canonical_key,
-    coarsenings,
-    refinements,
 )
 
 BASES = ("M", "Mt", "F")
@@ -305,7 +305,9 @@ def _m(a: QSymElem) -> QSymElem:
     return a if a.basis == "M" else to_basis(a, "M")
 
 
-_TO_M = {"F": refinements, "Mt": coarsenings}
+# the keys of an element are Compositions already, so base change calls the
+# cached functions behind refinements and coarsenings without their check
+_TO_M = {"F": _refinements, "Mt": _coarsenings}
 
 
 @lru_cache(maxsize=None)
