@@ -212,24 +212,29 @@ def evaluate(text: str) -> QSymElem:
     return eval_expr(parse(text))
 
 
+# qss-verify --suite name -> the cases at N variables per alphabet
+QSS_SUITES = {
+    "kp": lambda n: [(f"qss kp identity N={n}", qss_kp_check(n))],
+    "cancel": lambda n: suite_qss_cancel(max_weight=3, nvars=n),
+    "closure": lambda n: suite_qss_closure(max_weight=3, nvars=n),
+}
+
+
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
-    """Print one suite's results; returns overall pass."""
+    """Print one suite's results; returns overall pass.  A suite that ran no
+    case fails: it checked nothing."""
     ok_count = sum(1 for _, ok in results if ok)
+    cases = results or [("no case at these bounds", False)]
     if as_json:
-        for case, ok in results:
-            out.write(
-                json.dumps(
-                    {"suite": suite_name, "case": case, "status": "pass" if ok else "fail"},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for case, ok in cases:
+            record = {"suite": suite_name, "case": case, "status": "pass" if ok else "fail"}
+            out.write(json.dumps(record, sort_keys=True) + "\n")
     else:
-        for case, ok in results:
+        for case, ok in cases:
             if not ok:
                 out.write(f"FAIL {suite_name}: {case}\n")
         out.write(f"{suite_name}: {ok_count}/{len(results)} passed\n")
-    return ok_count == len(results)
+    return bool(results) and ok_count == len(results)
 
 
 def main(argv=None) -> int:
@@ -264,7 +269,7 @@ def main(argv=None) -> int:
 
     p_qss = sub.add_parser("qss-verify", help="two-alphabet checks")
     p_qss.add_argument("--N", type=int, required=True, dest="nvars")
-    p_qss.add_argument("--suite", choices=("kp", "cancel", "closure"), default="kp")
+    p_qss.add_argument("--suite", choices=tuple(QSS_SUITES), default="kp")
     p_qss.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
@@ -319,14 +324,8 @@ def _dispatch(args, out) -> int:
         return 0 if ok else 1
 
     if args.command == "qss-verify":
-        name = {"kp": "qss-kp", "cancel": "qss-cancel", "closure": "qss-closure"}[args.suite]
-        if args.suite == "kp":
-            results = [(f"qss kp identity N={args.nvars}", qss_kp_check(args.nvars))]
-        elif args.suite == "cancel":
-            results = list(suite_qss_cancel(max_weight=3, nvars=args.nvars))
-        else:
-            results = list(suite_qss_closure(max_weight=3, nvars=args.nvars))
-        return 0 if _emit_report(results, name, args.json, out) else 1
+        results = list(QSS_SUITES[args.suite](args.nvars))
+        return 0 if _emit_report(results, f"qss-{args.suite}", args.json, out) else 1
 
     # verify
     max_weight = args.max_weight if args.max_weight is not None else args.max

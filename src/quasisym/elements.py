@@ -141,7 +141,9 @@ class Sparse:
     objects.  Subclasses define `_key` (check one key of outside input),
     `_product` (of two operands over one space), `_order` (the sort key of
     a key) and `_atom` (the text of a key), and may redefine `_align`
-    (bring two operands to one space).
+    (bring two operands to one space).  Operands meet only when their
+    classes match exactly: a `QssPoly` is a `Polynomial` but never equals,
+    adds to or multiplies with one.
     """
 
     __slots__ = ("space", "terms")
@@ -181,7 +183,7 @@ class Sparse:
         return NotImplemented
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
+        if type(other) is not type(self):
             return NotImplemented
         a, b = self._align(other)
         return a._raw(a.space, sum_terms(a.terms, b.terms))
@@ -190,12 +192,12 @@ class Sparse:
         return self._raw(self.space, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
+        if type(other) is type(self):
             a, b = self._align(other)
             return a._product(b)
         return self.__rmul__(other)
@@ -206,7 +208,7 @@ class Sparse:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if type(other) is not type(self):
             return NotImplemented
         if self.space != other.space:
             try:

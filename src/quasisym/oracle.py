@@ -41,7 +41,7 @@ class Polynomial(Sparse):
         with `base` above every exponent of the product, each pair of
         monomials costs one int addition."""
         base = 1 + _top(self) + _top(other)
-        powers = [base ** i for i in range(self.n)]
+        powers = [base ** i for i in range(self.space)]
 
         def packed(p):
             return {sum(map(mul, mono, powers)): c for mono, c in p.terms.items()}
@@ -54,11 +54,12 @@ class Polynomial(Sparse):
                 v, e = divmod(v, base)
                 mono.append(e)
             out[tuple(mono)] = c
-        return Polynomial._raw(self.n, out)
+        return self._raw(self.space, out)
 
     def set_last_to_zero(self) -> "Polynomial":
-        """The polynomial with x_n = 0, over n-1 variables."""
-        n = positive_index(self.n - 1, "variable count", least=0)
+        """The polynomial with its last variable 0, over one variable fewer;
+        for a `QssPoly` that is y_N = 0, and the result is a plain `Polynomial`."""
+        n = positive_index(self.space - 1, "variable count", least=0)
         return Polynomial._raw(n, {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0})
 
     @staticmethod

@@ -1,57 +1,45 @@
 """Two-alphabet truncation: polynomials in x_1..x_N, y_1..y_N with the
 graded products defined through per-monomial min/max index windows.
 
-Elements are kept concretely as truncated polynomials on the sparse core
-(no structure constants are assumed for this extension).  Generated from 1
-by the products, they specialize to the one-alphabet picture at y = 0 and
-are t-independent under the substitution x_i = y_i = t, the defining
-property of the supersymmetric world.
+Elements are kept concretely as truncated polynomials (no structure
+constants are assumed for this extension).  Generated from 1 by the
+products, they specialize to the one-alphabet picture at y = 0 and are
+t-independent under the substitution x_i = y_i = t, the defining property
+of the supersymmetric world.
+
+A `QssPoly` is an oracle `Polynomial` over the 2N variables and shares its
+product.  Its stored key is one exponent tuple of length 2N, the x
+exponents then the y exponents (y_i at index N + i - 1); the constructor
+takes pairs (x-exponents, y-exponents).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from operator import add
 
 from quasisym.composition import Composition, compositions_of, positive_index
-from quasisym.elements import Sparse, bilinear, linear
+from quasisym.elements import bilinear, linear, stored
 from quasisym.oracle import Polynomial, exponent_vector, monomial_text
 
 
-class QssPoly(Sparse):
-    """Sparse polynomial over two interleaved alphabets of N variables each.
-
-    Keys are pairs (x-exponent tuple, y-exponent tuple), both of length N.
-    """
+class QssPoly(Polynomial):
+    """A polynomial over x_1..x_N, y_1..y_N, keyed as the module docstring says."""
 
     __slots__ = ()
-    n = Sparse.space  # the space slot, read under its own name
-    _spaces = "truncation levels"
+    n = property(lambda self: self.space // 2, doc="variables per alphabet")
 
     def __init__(self, n: int, terms=None):
-        Sparse.__init__(self, positive_index(n, "variables per alphabet"), terms)
+        Polynomial.__init__(self, 2 * positive_index(n, "variables per alphabet"), terms)
 
     def _key(self, key) -> tuple:
         xe, ye = key
-        return exponent_vector(xe, self.n), exponent_vector(ye, self.n)
+        return exponent_vector(xe, self.n) + exponent_vector(ye, self.n)
 
-    def _product(self, other):
-        return QssPoly._raw(self.n, bilinear(self.terms, other.terms, _merge))
-
-    @staticmethod
-    def _order(key):
-        return Polynomial._order(key[0] + key[1])
-
-    @staticmethod
-    def _atom(key) -> str:
-        return monomial_text(x=key[0], y=key[1])
-
-
-def _merge(ka, kb) -> tuple:
-    """The product of two monomials, as a one-key image."""
-    return ((tuple(p + q for p, q in zip(ka[0], kb[0])),
-             tuple(p + q for p, q in zip(ka[1], kb[1]))),)
+    def _atom(self, key) -> str:
+        return monomial_text(x=key[: self.n], y=key[self.n :])
 
 
 def qss_one(n: int) -> QssPoly:
@@ -59,29 +47,17 @@ def qss_one(n: int) -> QssPoly:
     return QssPoly(n, {(zero, zero): 1})
 
 
-def _used(key) -> list:
-    """The indices of the variables a monomial uses, both alphabets pooled."""
-    return [i for exps in key for i, e in enumerate(exps) if e]
-
-
-def _mono_mul(key, i, alphabet, k):
-    """Multiply monomial key by x_i^k or y_i^k."""
-    xe, ye = key
-    if alphabet == "x":
-        xe = xe[:i] + (xe[i] + k,) + xe[i + 1 :]
-    else:
-        ye = ye[:i] + (ye[i] + k,) + ye[i + 1 :]
-    return (xe, ye)
-
-
 def _bullet_image(k: int, n: int, ka, kb) -> dict:
     """The monomials of M_ka o_k M_kb with their signs (see qss_bullet)."""
-    top = max(_used(ka), default=-1)  # M(a); -1 for the constant
-    low = min(_used(kb), default=n)  # m(b); n for the constant
-    (merged,) = _merge(ka, kb)
+    top = max((i % n for i, e in enumerate(ka) if e), default=-1)  # M(a); -1 for the constant
+    low = min((i % n for i, e in enumerate(kb) if e), default=n)  # m(b); n for the constant
+    merged = tuple(map(add, ka, kb))
+
+    def times(j):  # merged times the k-th power of the variable at flat index j
+        return merged[:j] + (merged[j] + k,) + merged[j + 1 :]
     # x_i for M(a) < i <= m(b), y_i for M(a) <= i < m(b), all within 0..n-1
-    out = {_mono_mul(merged, i, "x", k): 1 for i in range(top + 1, min(low + 1, n))}
-    out.update((_mono_mul(merged, i, "y", k), -1) for i in range(max(top, 0), low))
+    out = {times(i): 1 for i in range(top + 1, min(low + 1, n))}
+    out.update((times(n + i), -1) for i in range(max(top, 0), low))
     return out
 
 
@@ -100,19 +76,16 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
     """
     image = partial(_bullet_image, positive_index(k, "product index"), a.n)
     a._align(b)
-    return QssPoly._raw(a.n, bilinear(a.terms, b.terms, image))
+    return QssPoly._raw(a.space, bilinear(a.terms, b.terms, image))
 
 
 def qss_p(r: int, n: int) -> QssPoly:
     """The generator sum_{i=1}^N (x_i^r - y_i^r); equals 1 o_r 1."""
     positive_index(r, "generator index")
-    terms = {}
-    zero = (0,) * positive_index(n, "variables per alphabet")
-    for i in range(n):
-        xe = zero[:i] + (r,) + zero[i + 1 :]
-        terms[(xe, zero)] = 1
-        terms[(zero, xe)] = -1
-    return QssPoly(n, terms)
+    zero = (0,) * (2 * positive_index(n, "variables per alphabet"))
+    # x_i^r at flat index i, y_i^r at n + i
+    terms = {zero[:i] + (r,) + zero[i + 1 :]: 1 if i < n else -1 for i in range(2 * n)}
+    return QssPoly._raw(2 * n, terms)
 
 
 def qss_M(comp, n: int) -> QssPoly:
@@ -141,13 +114,15 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     Collects a as a polynomial in t with two-alphabet coefficients and
     requires every coefficient of t^j, j >= 1, to vanish.
     """
-    if positive_index(i, "variable index", least=0) >= a.n:
+    n = a.n
+    if positive_index(i, "variable index", least=0) >= n:
         raise ValueError(f"index out of range: {i}")
 
     def by_degree(key):
-        xe, ye = key
-        if xe[i] + ye[i]:
-            yield xe[i] + ye[i], (xe[:i] + (0,) + xe[i + 1 :], ye[:i] + (0,) + ye[i + 1 :])
+        if key[i] + key[n + i]:
+            rest = list(key)
+            rest[i] = rest[n + i] = 0
+            yield key[i] + key[n + i], tuple(rest)
     return not linear(a.terms, by_degree)
 
 
@@ -161,32 +136,32 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
     """
     r, s = positive_index(r, "generator index"), positive_index(s, "generator index")
     acc = defaultdict(int)
-    zero = (0,) * positive_index(n, "variables per alphabet")
+    zero = (0,) * (2 * positive_index(n, "variables per alphabet"))
 
     def add_products(i, j, k, middle, sign):
-        # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s), z the middle alphabet
-        for si, ai in ((1, "x"), (-1, "y")):
-            for sk, ak in ((1, "x"), (-1, "y")):
-                xe, ye = list(zero), list(zero)
-                (xe if ai == "x" else ye)[i] += r
-                (xe if middle == "x" else ye)[j] += 1
-                (xe if ak == "x" else ye)[k] += s
-                acc[(tuple(xe), tuple(ye))] += sign * si * sk
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                add_products(i, j, k, "x", 1)
+        # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s); x_i sits at flat index i,
+        # y_i at n + i, and middle is the offset of z's alphabet
+        for si, oi in ((1, 0), (-1, n)):
+            for sk, ok in ((1, 0), (-1, n)):
+                mono = list(zero)
+                mono[oi + i] += r
+                mono[middle + j] += 1
+                mono[ok + k] += s
+                acc[tuple(mono)] += sign * si * sk
     for i in range(n):
         for j in range(i, n):
-            for k in range(j + 1, n):
-                add_products(i, j, k, "y", -1)
-    return QssPoly(n, acc)
+            for k in range(j, n):
+                if i < j:
+                    add_products(i, j, k, 0, 1)
+                if j < k:
+                    add_products(i, j, k, n, -1)
+    return QssPoly._raw(2 * n, stored(acc))
 
 
 def set_y_zero_x_vector(a: QssPoly):
     """Monomials surviving y = 0, as a map x-exponent tuple -> coefficient."""
-    zero = (0,) * a.n
-    return {xe: coeff for (xe, ye), coeff in a.terms.items() if ye == zero}
+    n = a.n
+    return {key[:n]: coeff for key, coeff in a.terms.items() if not any(key[n:])}
 
 
 def _row_reduce(rows):
@@ -207,8 +182,6 @@ def _row_reduce(rows):
                 rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return pivots
 
 
@@ -219,8 +192,6 @@ def in_span(vectors, target) -> bool:
     space; decided by row reduction of the transposed system.
     """
     keys = sorted(set().union(*[v.keys() for v in vectors], target.keys()))
-    if not keys:
-        return True
     # columns: one per vector, plus the target; eliminate and look for a
     # pivot in the target column
     rows = [
@@ -238,18 +209,8 @@ def closure_probe(max_weight: int, n: int):
     Yields (case name, bool) for every pair of nonempty compositions with
     combined weight <= max_weight.
     """
-    comps = [
-        c
-        for w in range(1, max_weight)
-        for c in compositions_of(w)
-    ]
-    cache = {}
-
-    def gen(c):
-        if c not in cache:
-            cache[c] = qss_M(c, n)
-        return cache[c]
-
+    comps = [c for w in range(1, max_weight) for c in compositions_of(w)]
+    gen = cache(partial(qss_M, n=n))
     for a in comps:
         for b in comps:
             w = a.weight + b.weight

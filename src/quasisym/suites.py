@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from quasisym.composition import Composition, enumerate_compositions
+from quasisym.composition import Composition, enumerate_compositions, positive_index
 from quasisym.elements import QSymElem, counit, monomial, one, scale, to_basis
 from quasisym.hopf import (
     antipode,
@@ -32,7 +32,7 @@ from quasisym.kp import (
     power_sum,
     schur_substitution,
 )
-from quasisym.oracle import expand, expand_bullet, poly_mul
+from quasisym.oracle import Polynomial, expand, expand_bullet, poly_mul
 from quasisym.products import (
     bullet,
     bullet_via_first,
@@ -250,15 +250,19 @@ def suite_kp(max_mn: int = 3, certify_upto: int = 0):
 
 
 def certify_kp(m: int, n: int, nvars: int) -> bool:
-    """Rebuild both sides of the (m, n) identity with polynomial arithmetic."""
+    """Rebuild both sides of the (m, n) identity with polynomial arithmetic.
+
+    nvars must reach the identity's degree m + n + 1: below it, equal
+    expansions do not decide equality in QSym."""
+    m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
+    positive_index(nvars, "variable count", least=m + n + 1)
     h = complete_h
     lhs = poly_mul(expand(h(m), nvars), expand(h(n + 1), nvars)) - poly_mul(
         expand(h(m + 1), nvars), expand(h(n), nvars)
     )
-    rhs = None
+    rhs = Polynomial(nvars)
     for k in range(1, m + 1):
-        term = expand_bullet(1, h(k), h_product(m - k, n), nvars)
-        rhs = term if rhs is None else rhs + term
+        rhs = rhs + expand_bullet(1, h(k), h_product(m - k, n), nvars)
     for k in range(1, n + 1):
         rhs = rhs - expand_bullet(1, h(k), h_product(n - k, m), nvars)
     return lhs == rhs
@@ -332,57 +336,36 @@ def suite_qss_closure(max_weight: int = 4, nvars: int = 5):
     yield from closure_probe(max_weight, nvars)
 
 
+# name -> (runner(max_weight, max_k), the max_weight `verify` uses without
+# flags); the defaults keep the whole sweep well under a minute
 SUITES = {
-    "shuffle-oracle": lambda mw, mk: suite_shuffle_oracle(max_weight=min(mw, 4), nvars=8),
-    "bullet-oracle": lambda mw, mk: suite_bullet_oracle(max_total_weight=mw, max_k=mk, nvars=10),
-    "weak-nonassoc": lambda mw, mk: suite_weak_nonassoc(max_weight=min(mw, 2), max_k=min(mk, 2)),
-    "lemma-iter": lambda mw, mk: suite_lemma_iter(max_weight=mw, max_k=mk),
-    "generation": lambda mw, mk: suite_generation(max_weight=mw),
-    "delta-derivation": lambda mw, mk: suite_delta_derivation(max_total_weight=mw, max_k=mk),
-    "distributivity": lambda mw, mk: suite_distributivity(max_total_weight=min(mw, 3), max_k=mk),
-    "recursion": lambda mw, mk: suite_recursion(max_prefix_weight=min(mw, 3), max_k=mk),
-    "antipode": lambda mw, mk: suite_antipode(max_weight=mw),
-    "antipode-bullet": lambda mw, mk: suite_antipode_bullet(max_weight=min(mw, 4), max_k=mk),
-    "antipode-F": lambda mw, mk: suite_antipode_F(max_weight=mw),
-    "f-rules": lambda mw, mk: suite_F_rules(max_weight=mw),
-    "kp": lambda mw, mk: suite_kp(max_mn=mw),
-    "kp-classical": lambda mw, mk: suite_kp_classical(),
-    "newton": lambda mw, mk: suite_newton(max_n=mw),
-    "qss-kp": lambda mw, mk: suite_qss_kp(max_n=min(mw, 4)),
-    "qss-cancel": lambda mw, mk: suite_qss_cancel(max_weight=min(mw, 4), nvars=4),
-    "qss-y-zero": lambda mw, mk: suite_qss_y_zero(max_weight=min(mw, 4), nvars=4),
-    "qss-closure": lambda mw, mk: suite_qss_closure(max_weight=min(mw, 4), nvars=5),
-}
-
-# bounds used when `verify` is invoked without flags; chosen so the whole
-# sweep stays well under a minute
-DEFAULT_MAX_WEIGHT = {
-    "shuffle-oracle": 3,
-    "bullet-oracle": 3,
-    "weak-nonassoc": 2,
-    "lemma-iter": 3,
-    "generation": 5,
-    "delta-derivation": 3,
-    "distributivity": 3,
-    "recursion": 2,
-    "antipode": 4,
-    "antipode-bullet": 3,
-    "antipode-F": 5,
-    "f-rules": 5,
-    "kp": 3,
-    "kp-classical": 0,
-    "newton": 5,
-    "qss-kp": 3,
-    "qss-cancel": 3,
-    "qss-y-zero": 3,
-    "qss-closure": 3,
+    "shuffle-oracle": (lambda w, k: suite_shuffle_oracle(max_weight=min(w, 4), nvars=8), 3),
+    "bullet-oracle": (lambda w, k: suite_bullet_oracle(max_total_weight=w, max_k=k, nvars=10), 3),
+    "weak-nonassoc": (lambda w, k: suite_weak_nonassoc(max_weight=min(w, 2), max_k=min(k, 2)), 2),
+    "lemma-iter": (lambda w, k: suite_lemma_iter(max_weight=w, max_k=k), 3),
+    "generation": (lambda w, k: suite_generation(max_weight=w), 5),
+    "delta-derivation": (lambda w, k: suite_delta_derivation(max_total_weight=w, max_k=k), 3),
+    "distributivity": (lambda w, k: suite_distributivity(max_total_weight=min(w, 3), max_k=k), 3),
+    "recursion": (lambda w, k: suite_recursion(max_prefix_weight=min(w, 3), max_k=k), 2),
+    "antipode": (lambda w, k: suite_antipode(max_weight=w), 4),
+    "antipode-bullet": (lambda w, k: suite_antipode_bullet(max_weight=min(w, 4), max_k=k), 3),
+    "antipode-F": (lambda w, k: suite_antipode_F(max_weight=w), 5),
+    "f-rules": (lambda w, k: suite_F_rules(max_weight=w), 5),
+    "kp": (lambda w, k: suite_kp(max_mn=w), 3),
+    "kp-classical": (lambda w, k: suite_kp_classical(), 0),
+    "newton": (lambda w, k: suite_newton(max_n=w), 5),
+    "qss-kp": (lambda w, k: suite_qss_kp(max_n=min(w, 4)), 3),
+    "qss-cancel": (lambda w, k: suite_qss_cancel(max_weight=min(w, 4), nvars=4), 3),
+    "qss-y-zero": (lambda w, k: suite_qss_y_zero(max_weight=min(w, 4), nvars=4), 3),
+    "qss-closure": (lambda w, k: suite_qss_closure(max_weight=min(w, 4), nvars=5), 3),
 }
 DEFAULT_MAX_K = 2
 
 
 def run_suite(name: str, max_weight: int | None = None, max_k: int | None = None):
-    """Materialize one suite's cases. Unknown names raise KeyError."""
-    runner = SUITES[name]
-    mw = max_weight if max_weight is not None else DEFAULT_MAX_WEIGHT[name]
+    """Materialize one suite's cases. Unknown names raise KeyError, and a
+    max_weight below 0 or a max_k below 1 raises ValueError."""
+    runner, default_weight = SUITES[name]
+    mw = max_weight if max_weight is not None else default_weight
     mk = max_k if max_k is not None else DEFAULT_MAX_K
-    return list(runner(mw, mk))
+    return list(runner(positive_index(mw, "max weight", least=0), positive_index(mk, "max k")))

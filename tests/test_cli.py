@@ -199,7 +199,7 @@ def test_cli_verify_unknown_suite_exit_2():
 def test_cli_verify_failure_exit_1(monkeypatch):
     import quasisym.cli as cli
 
-    monkeypatch.setitem(cli.SUITES, "kp", lambda mw, mk: [("rigged case", False)])
+    monkeypatch.setitem(cli.SUITES, "kp", (lambda mw, mk: [("rigged case", False)], 3))
     code, out, _ = run_cli("verify", "kp")
     assert code == 1
     assert "FAIL kp: rigged case" in out
@@ -207,6 +207,29 @@ def test_cli_verify_failure_exit_1(monkeypatch):
     code, out, _ = run_cli("verify", "kp", "--json")
     assert code == 1
     assert json.loads(out.splitlines()[0])["status"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "kp", "--max", "-1"),
+    ("verify", "newton", "--max", "-2"),
+    ("verify", "lemma-iter", "--max-k", "0"),
+    ("verify", "bullet-oracle", "--max-k", "-1"),
+    ("kp", "--m", "3", "--n", "3", "--certify", "1"),
+    ("kp", "--m", "1", "--n", "2", "--certify", "3"),
+], ids=" ".join)
+def test_cli_bound_below_its_least_exit_2(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert "must be an integer >=" in err
+
+
+def test_cli_verify_with_no_case_fails():
+    code, out, _ = run_cli("verify", "qss-closure", "--max", "1")
+    assert code == 1
+    assert out == "FAIL qss-closure: no case at these bounds\nqss-closure: 0/0 passed\n"
+    code, out, _ = run_cli("verify", "qss-closure", "--max", "1", "--json")
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
 
 
 def test_cli_domain_error_exit_2():

@@ -2,6 +2,8 @@
 
 The expected strings were captured from the CLI before coefficients became
 int-or-Fraction; printing must not depend on how a coefficient is stored.
+The qss-verify reports were captured while two-alphabet polynomials still
+had their own product and key format.
 """
 
 import pytest
@@ -83,6 +85,45 @@ GOLDEN = [
         "kp m=1 n=2: PASS\n"
         "4*phi_{t1,t3} - 3*phi_{t2,t2} - phi_{t1,t1,t1,t1} + 6*phi_{t1}*phi_{t2}"
         " - 6*phi_{t1}*phi_{t1,t1} - 6*phi_{t2}*phi_{t1} - 6*phi_{t1,t1}*phi_{t1} = 0\n",
+    ),
+    (
+        ["qss-verify", "--N", "3", "--suite", "kp"],
+        "qss-kp: 1/1 passed\n",
+    ),
+    (
+        ["qss-verify", "--N", "3", "--suite", "cancel", "--json"],
+        '{"case": "x_1=y_1=t on M[]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[1,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[1,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[1,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[3]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[3]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[3]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[1,2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[1,2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[1,2]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[2,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[2,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[2,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_1=y_1=t on M[1,1,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_2=y_2=t on M[1,1,1]", "status": "pass", "suite": "qss-cancel"}\n'
+        '{"case": "x_3=y_3=t on M[1,1,1]", "status": "pass", "suite": "qss-cancel"}\n',
+    ),
+    (
+        ["qss-verify", "--N", "5", "--suite", "closure", "--json"],
+        '{"case": "M[1]*M[1] in span(weight 2)", "status": "pass", "suite": "qss-closure"}\n'
+        '{"case": "M[1]*M[2] in span(weight 3)", "status": "pass", "suite": "qss-closure"}\n'
+        '{"case": "M[1]*M[1,1] in span(weight 3)", "status": "pass", "suite": "qss-closure"}\n'
+        '{"case": "M[2]*M[1] in span(weight 3)", "status": "pass", "suite": "qss-closure"}\n'
+        '{"case": "M[1,1]*M[1] in span(weight 3)", "status": "pass", "suite": "qss-closure"}\n',
     ),
 ]
 

@@ -58,7 +58,7 @@ def test_integral_coefficients_are_stored_as_int():
         assert e.terms and all(type(v) is int for v in e.terms.values())
     assert type(TensorElem({((1,), ()): Fraction(2, 1)}).terms[((1,), ())]) is int
     assert type(Polynomial(1, {(1,): Fraction(2, 1)}).terms[(1,)]) is int
-    assert type(QssPoly(1, {((1,), (0,)): Fraction(2, 1)}).terms[((1,), (0,))]) is int
+    assert type(QssPoly(1, {((1,), (0,)): Fraction(2, 1)}).terms[(1, 0)]) is int
     halves = coproduct(QSymElem("M", {(1,): half}))
     assert set(halves.terms.values()) == {half}
 

@@ -161,6 +161,16 @@ def test_kp_oracle_certification():
             assert certify_kp(m, n, m + n + 2)
 
 
+def test_kp_certification_needs_the_degree_in_variables():
+    # m + n + 1 variables decide equality in QSym; fewer would certify nothing
+    assert certify_kp(1, 2, 4)
+    for nvars in (3, 1, 0, True):
+        with pytest.raises(ValueError):
+            certify_kp(1, 2, nvars)
+    with pytest.raises(ValueError):
+        certify_kp(0, 2, 4)
+
+
 def test_proof_step():
     h = complete_h
     for m in range(1, 5):

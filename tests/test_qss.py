@@ -1,10 +1,11 @@
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
 from quasisym.composition import enumerate_compositions
 from quasisym.elements import monomial
-from quasisym.oracle import expand
+from quasisym.oracle import Polynomial, expand
 from quasisym.qss import (
     QssPoly,
     closure_probe,
@@ -38,6 +39,53 @@ def test_qss_poly_printing():
     assert repr(qss_p(1, 2)) == "x1 + x2 - y1 - y2"
     assert repr(QP(2, {((1, 0), (0, 2)): Fraction(3, 2), ((0, 0), (0, 0)): -1})) == "-1 + 3/2*x1*y2^2"
     assert repr(QssPoly(2)) == "0"
+
+
+def test_qss_poly_printing_is_unchanged():
+    # captured while QssPoly kept (x, y) pair keys and its own product
+    assert repr(qss_M((2, 1), 3)) == (
+        "x1^2*x2 + x1^2*x3 - x1^2*y1 - x1^2*y2 - x1^2*y3 + x2^2*x3 - x2^2*y2 - x2^2*y3 - x2*y1^2 "
+        "- x3^2*y3 - x3*y1^2 - x3*y2^2 + y1^3 + y1^2*y2 + y1^2*y3 + y2^3 + y2^2*y3 + y3^3"
+    )
+    assert repr(qss_bullet(2, qss_p(1, 3), qss_p(2, 3))) == (
+        "x1*x2^4 + x1*x2^2*x3^2 - x1*x2^2*y1^2 - x1*x2^2*y2^2 - x1*x2^2*y3^2 + x1*x3^4 "
+        "- x1*x3^2*y1^2 - x1*x3^2*y2^2 - x1*x3^2*y3^2 + x1*y1^2*y2^2 + x1*y1^2*y3^2 "
+        "+ x1*y2^2*y3^2 - x2^4*y1 - x2^2*x3^2*y1 + x2^2*y1^3 + x2^2*y1*y2^2 + x2^2*y1*y3^2 "
+        "+ x2*x3^4 - x2*x3^2*y2^2 - x2*x3^2*y3^2 + x2*y2^2*y3^2 - x3^4*y1 - x3^4*y2 + x3^2*y1^3 "
+        "+ x3^2*y1*y2^2 + x3^2*y1*y3^2 + x3^2*y2^3 + x3^2*y2*y3^2 - y1^3*y2^2 - y1^3*y3^2 "
+        "- y1*y2^2*y3^2 - y2^3*y3^2"
+    )
+    assert repr(pbup_transcription(2, 1, 3)) == (
+        "x1^2*x2^2 + x1^2*x2*x3 - x1^2*x2*y1 - x1^2*x2*y2 - x1^2*x2*y3 + x1^2*x3^2 - x1^2*x3*y1 "
+        "- x1^2*x3*y2 - x1^2*x3*y3 + x1^2*y1*y2 + x1^2*y1*y3 + x1^2*y2*y3 + x2^2*x3^2 "
+        "- x2^2*x3*y2 - x2^2*x3*y3 - x2^2*y1^2 + x2^2*y2*y3 - x2*x3*y1^2 + x2*y1^3 + x2*y1^2*y2 "
+        "+ x2*y1^2*y3 - x3^2*y1^2 - x3^2*y2^2 + x3*y1^3 + x3*y1^2*y2 + x3*y1^2*y3 + x3*y2^3 "
+        "+ x3*y2^2*y3 - y1^3*y2 - y1^3*y3 - y1^2*y2*y3 - y2^3*y3"
+    )
+
+
+def test_qss_poly_keys_are_flat():
+    assert QP(2, {((1, 0), (0, 2)): 3}).terms == {(1, 0, 0, 2): 3}
+    assert qss_p(1, 2).terms == {
+        (1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
+    }
+    assert QssPoly(3).n == 3 and QssPoly(3).space == 6
+    # inherited Polynomial methods act on all 2N variables
+    assert qss_p(1, 2).set_last_to_zero() == Polynomial(
+        3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1}
+    )
+
+
+def test_qss_poly_never_meets_a_polynomial():
+    # same variable count and same stored terms, still different types
+    q, p = QP(1, {((1,), (0,)): 1}), Polynomial(2, {(1, 0): 1})
+    assert q.terms == p.terms and q.space == p.space
+    assert q != p and p != q
+    for op in (add, sub, mul):
+        with pytest.raises(TypeError):
+            op(q, p)
+        with pytest.raises(TypeError):
+            op(p, q)
 
 
 def test_qss_bullet_examples():
