@@ -31,7 +31,8 @@ from quasisym.kp import complete_h, kp_identity, kp_sigma_expression, power_sum,
 from quasisym.oracle import expand
 from quasisym.products import bullet, hat_bullet, mul
 from quasisym.qss import qss_kp_check
-from quasisym.suites import SUITES, certify_kp, run_suite, suite_qss_cancel, suite_qss_closure
+from quasisym.suites import SUITES, Residual, certify_kp, run_suite
+from quasisym.suites import suite_qss_cancel, suite_qss_closure
 
 
 class ParseError(ValueError):
@@ -221,8 +222,9 @@ QSS_SUITES = {
 
 
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
-    """Print one suite's results; returns overall pass.  A suite that ran no
-    case fails: it checked nothing."""
+    """Print one suite's (label, verdict) results; returns overall pass.  A
+    suite that ran no case fails: it checked nothing.  The text report follows
+    a failed identity case with its residual lhs - rhs."""
     ok_count = sum(1 for _, ok in results if ok)
     cases = results or [("no case at these bounds", False)]
     if as_json:
@@ -233,6 +235,8 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
         for case, ok in cases:
             if not ok:
                 out.write(f"FAIL {suite_name}: {case}\n")
+                if isinstance(ok, Residual):
+                    out.write(f"  lhs - rhs = {ok}\n")
         out.write(f"{suite_name}: {ok_count}/{len(results)} passed\n")
     return bool(results) and ok_count == len(results)
 
@@ -310,17 +314,17 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "kp":
+        # the report is written whole, so a refused bound leaves no PASS line
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
-        out.write(f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n")
+        lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]
         if ok and args.certify is not None:
-            certified = certify_kp(args.m, args.n, args.certify)
-            out.write(
-                f"oracle certification @N={args.certify}: {'PASS' if certified else 'FAIL'}\n"
-            )
-            ok = certified
+            ok = certify_kp(args.m, args.n, args.certify)
+            lines.append(f"oracle certification @N={args.certify}: {'PASS' if ok else 'FAIL'}\n")
         if args.pde:
-            out.write(sigma_render(kp_sigma_expression(args.m, args.n), normalize=True) + " = 0\n")
+            sigma = kp_sigma_expression(args.m, args.n)
+            lines.append(sigma_render(sigma, normalize=True) + " = 0\n")
+        out.write("".join(lines))
         return 0 if ok else 1
 
     if args.command == "qss-verify":

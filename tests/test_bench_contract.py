@@ -1,30 +1,57 @@
-"""What the benchmark's tracer needs from the package.
+"""What the benchmark needs from the package.
 
 perfbench/tracing.py wraps public functions at every module binding,
 counts QSymElem and Composition constructions and reads the kernel
-caches' statistics.  The test suite does not run the benchmark, so this
-test loads the tracer by path and drives it once: a refactor that breaks
-the benchmark harness fails here.
+caches' statistics; perfbench/workloads.py computes in process the
+stdout it expects from each `cli` command.  The test suite does not run
+the benchmark, so these tests load both files by path and drive them: a
+refactor that breaks the benchmark harness fails here, not as failed
+operations in a benchmark run.
 """
 
 import importlib.util
+import io
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from quasisym import _core, elements, oracle, products
+from quasisym.cli import main
 from quasisym.elements import QSymElem
+from quasisym.suites import run_suite
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_cli_workload_expects_what_the_cli_prints(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the loader puts src/ first
+    workloads = load("workloads")
+    for name in workloads.CLI_SUITES:
+        assert workloads._suite_line(name, run_suite(name)) == cli_stdout("verify", name)
+    for suite, n in workloads.CLI_QSS:
+        assert workloads._qss_report(suite, n) == cli_stdout(
+            "qss-verify", "--N", str(n), "--suite", suite)
+    for m, n in workloads.CLI_KP:
+        assert workloads._kp_report(m, n) == cli_stdout(
+            "kp", "--m", str(m), "--n", str(n), "--certify", str(m + n + 2))
+
+
 def test_tracer_counts_calls_and_restores_every_name():
-    tracing = load_tracing()
+    tracing = load("tracing")
     originals = {
         "mul": products.mul, "bullet": products.bullet, "expand": oracle.expand,
         "quasi_shuffle": products.quasi_shuffle, "init": QSymElem.__dict__["__init__"],

@@ -209,6 +209,39 @@ def test_cli_verify_failure_exit_1(monkeypatch):
     assert json.loads(out.splitlines()[0])["status"] == "fail"
 
 
+def test_cli_failure_prints_its_residual(monkeypatch):
+    from quasisym import products
+
+    # o_k without its merge term: 1 o_1 1 keeps M[1] but 1 o_2 1 = M[2] is lost
+    def no_merge(k, A, B):
+        yield (*A, k, *B)
+
+    monkeypatch.setattr(products, "_bullet_words", no_merge)
+    code, out, _ = run_cli("verify", "lemma-iter", "--max", "1", "--max-k", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["FAIL lemma-iter: iter M[] M[] k=1 l=1", "  lhs - rhs = -M[2] (1 term)"]
+    assert lines[-1] == "lemma-iter: 0/4 passed"
+    # the JSON records keep their schema: no residual field
+    code, out, _ = run_cli("verify", "lemma-iter", "--max", "1", "--max-k", "1", "--json")
+    assert code == 1
+    assert json.loads(out.splitlines()[0]) == {
+        "case": "iter M[] M[] k=1 l=1", "status": "fail", "suite": "lemma-iter"}
+
+
+def test_residual_shows_three_terms_and_the_count():
+    from quasisym.suites import Residual, decide
+
+    assert decide(("same", M(1), M(1))) is True
+    assert decide(("own verdict", False)) is False
+    verdict = decide(("differs", M(1) + M(2) - 2 * M(1, 1) + M(3), M(1)))
+    assert isinstance(verdict, Residual) and not verdict
+    assert verdict.diff == M(2) - 2 * M(1, 1) + M(3)
+    assert str(verdict) == "M[2] - 2*M[1,1] + M[3] (3 terms)"
+    assert str(decide(("", M(4) + M(1, 1) + M(2) + M(3), 0 * M(1)))) == (
+        "M[2] + M[1,1] + M[3] + ... (4 terms)")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "kp", "--max", "-1"),
     ("verify", "newton", "--max", "-2"),
@@ -218,9 +251,10 @@ def test_cli_verify_failure_exit_1(monkeypatch):
     ("kp", "--m", "1", "--n", "2", "--certify", "3"),
 ], ids=" ".join)
 def test_cli_bound_below_its_least_exit_2(argv):
-    code, _, err = run_cli(*argv)
+    code, out, err = run_cli(*argv)
     assert code == 2
     assert "must be an integer >=" in err
+    assert out == ""
 
 
 def test_cli_verify_with_no_case_fails():
@@ -234,7 +268,8 @@ def test_cli_verify_with_no_case_fails():
 
 def test_cli_domain_error_exit_2():
     code, _, err = run_cli("expand", "--vars", "0", "1")
-    assert code == 2 or "at least 1" in err
+    assert code == 2
+    assert "variable count must be an integer >= 1" in err
 
 
 def test_console_script_entry():

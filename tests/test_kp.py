@@ -65,13 +65,14 @@ def test_complete_h():
 def test_newton_suite_checks_the_recursion(monkeypatch):
     from quasisym import suites
 
-    assert all(ok for _, ok in suites.suite_newton(max_n=5))
+    assert all(suites.decide(case) for case in suites.suite_newton(max_n=5))
     # complete_h is the flat sum by construction; the suite's "sum of M_C"
     # case compares it with Newton's recursion, so a wrong h_n must fail it
     wrong = lambda n: complete_h(n) + (M(n) if n else 0 * M(1))
     monkeypatch.setattr(suites, "complete_h", wrong)
-    results = dict(suites.suite_newton(max_n=3))
+    results = {case[0]: suites.decide(case) for case in suites.suite_newton(max_n=3)}
     assert not results["h_3 = sum of M_C"] and results["h_0 = sum of M_C"]
+    assert str(results["h_3 = sum of M_C"]) == "-M[3] (1 term)"
 
 
 def test_divided_power_coproduct():
