@@ -19,20 +19,17 @@ associative, so longer chains require explicit parentheses.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 
+# Only what parsing and evaluating an expression needs is imported here:
+# every other module, json included, is imported by the branch that runs
+# it, because a module is compiled from source in each process whenever
+# its bytecode cannot be cached.
 from quasisym.composition import Composition
 from quasisym.elements import QSymElem, format_elem, format_terms, monomial, one, scale, to_basis
-from quasisym.hopf import antipode, coproduct
-from quasisym.kp import complete_h, kp_identity, kp_sigma_expression, power_sum, sigma_render
-from quasisym.oracle import expand
 from quasisym.products import bullet, hat_bullet, mul
-from quasisym.qss import qss_kp_check
-from quasisym.suites import SUITES, Residual, certify_kp, run_suite
-from quasisym.suites import suite_qss_cancel, suite_qss_closure
 
 
 class ParseError(ValueError):
@@ -191,6 +188,8 @@ def eval_expr(node) -> QSymElem:
     if kind == "basis":
         return to_basis(monomial(node[1], node[2]), "M")
     if kind == "named":
+        from quasisym.kp import complete_h, power_sum
+
         if node[1] == "p":
             return power_sum(node[2])
         return complete_h(node[2])
@@ -213,21 +212,47 @@ def evaluate(text: str) -> QSymElem:
     return eval_expr(parse(text))
 
 
-# qss-verify --suite name -> the cases at N variables per alphabet
+# qss-verify --suite name -> the cases at N variables per alphabet, from quasisym.suites
 QSS_SUITES = {
-    "kp": lambda n: [(f"qss kp identity N={n}", qss_kp_check(n))],
-    "cancel": lambda n: suite_qss_cancel(max_weight=3, nvars=n),
-    "closure": lambda n: suite_qss_closure(max_weight=3, nvars=n),
+    "kp": lambda suites, n: [(f"qss kp identity N={n}", suites.qss_kp_check(n))],
+    "cancel": lambda suites, n: suites.suite_qss_cancel(max_weight=3, nvars=n),
+    "closure": lambda suites, n: suites.suite_qss_closure(max_weight=3, nvars=n),
 }
+
+
+class _SuiteNames:
+    """The choices of ``verify``: read, and the suites imported, only when
+    an argument is checked or the help is printed."""
+
+    def __iter__(self):
+        from quasisym.suites import SUITES
+
+        return iter(sorted(SUITES) + ["all"])
+
+    def __contains__(self, name):
+        return name in list(self)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so that no suite name is split at a hyphen."""
+
+    def _split_lines(self, text, width):
+        import textwrap
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     """Print one suite's (label, verdict) results; returns overall pass.  A
     suite that ran no case fails: it checked nothing.  The text report follows
     a failed identity case with its residual lhs - rhs."""
+    from quasisym.suites import Residual
+
     ok_count = sum(1 for _, ok in results if ok)
     cases = results or [("no case at these bounds", False)]
     if as_json:
+        import json
+
         for case, ok in cases:
             record = {"suite": suite_name, "case": case, "status": "pass" if ok else "fail"}
             out.write(json.dumps(record, sort_keys=True) + "\n")
@@ -276,8 +301,10 @@ def main(argv=None) -> int:
     p_qss.add_argument("--suite", choices=tuple(QSS_SUITES), default="kp")
     p_qss.add_argument("--json", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify = sub.add_parser("verify", help="run an identity suite",
+                              formatter_class=_HelpFormatter)
+    p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
+                          help="one of: %(choices)s")
     p_verify.add_argument("--max", type=int, default=None, help="alias for --max-weight")
     p_verify.add_argument("--max-weight", type=int, default=None)
     p_verify.add_argument("--max-k", type=int, default=None)
@@ -300,25 +327,35 @@ def _dispatch(args, out) -> int:
         out.write(format_elem(evaluate(args.expr)) + "\n")
         return 0
     if args.command == "expand":
+        from quasisym.oracle import expand
+
         out.write(repr(expand(evaluate(args.expr), args.vars)) + "\n")
         return 0
     if args.command == "convert":
         out.write(format_elem(to_basis(evaluate(args.expr), args.to)) + "\n")
         return 0
     if args.command == "coproduct":
+        from quasisym.hopf import coproduct
+
         for term in coproduct(evaluate(args.expr)).text_terms():
             out.write(format_terms([term]) + "\n")
         return 0
     if args.command == "antipode":
+        from quasisym.hopf import antipode
+
         out.write(format_elem(antipode(evaluate(args.expr))) + "\n")
         return 0
 
     if args.command == "kp":
+        from quasisym.kp import kp_identity, kp_sigma_expression, sigma_render
+
         # the report is written whole, so a refused bound leaves no PASS line
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]
         if ok and args.certify is not None:
+            from quasisym.suites import certify_kp
+
             ok = certify_kp(args.m, args.n, args.certify)
             lines.append(f"oracle certification @N={args.certify}: {'PASS' if ok else 'FAIL'}\n")
         if args.pde:
@@ -327,16 +364,18 @@ def _dispatch(args, out) -> int:
         out.write("".join(lines))
         return 0 if ok else 1
 
+    from quasisym import suites
+
     if args.command == "qss-verify":
-        results = list(QSS_SUITES[args.suite](args.nvars))
+        results = list(QSS_SUITES[args.suite](suites, args.nvars))
         return 0 if _emit_report(results, f"qss-{args.suite}", args.json, out) else 1
 
     # verify
     max_weight = args.max_weight if args.max_weight is not None else args.max
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        results = run_suite(name, max_weight=max_weight, max_k=args.max_k)
+        results = suites.run_suite(name, max_weight=max_weight, max_k=args.max_k)
         all_ok = _emit_report(results, name, args.json, out) and all_ok
     return 0 if all_ok else 1
 

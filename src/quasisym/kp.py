@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,45 +141,74 @@ def kp_classical_identity():
 
 # -- sigma: rendering identities as hierarchy equations --------------------
 
-@dataclass(frozen=True)
-class PLeaf:
+class _Record:
+    """A frozen record of the fields named by its class's ``__slots__``: equal
+    only to a record of the same type with equal fields, and hashable."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PLeaf(_Record):
     """coeff * p_lambda for a nonempty partition lambda (zero counit)."""
 
-    coeff: Fraction
-    parts: tuple
+    __slots__ = ("coeff", "parts")
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, coeff: Fraction, parts: tuple):
+        if not parts:
             raise ValueError("sigma is undefined on constants: partition must be nonempty")
-        for p in self.parts:
+        for p in parts:
             positive_index(p, "partition part")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"not a partition: {self.parts!r}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"not a partition: {parts!r}")
+        super().__init__(coeff, parts)
 
 
-@dataclass(frozen=True)
-class PTimes:
+class PTimes(_Record):
     """Multiplication by p_n: renders as the t_n-derivative of the inside."""
 
-    n: int
-    inner: object
+    __slots__ = ("n", "inner")
 
 
-@dataclass(frozen=True)
-class SBullet:
-    left: object
-    right: object
+class SBullet(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class SScale:
-    coeff: Fraction
-    inner: object
+class SScale(_Record):
+    __slots__ = ("coeff", "inner")
 
 
-@dataclass(frozen=True)
-class SSum:
-    children: tuple
+class SSum(_Record):
+    __slots__ = ("children",)
 
 
 def p_leaf(coeff, parts) -> PLeaf:
@@ -214,13 +242,11 @@ def leaf_product(x: SSum, y: SSum) -> SSum:
     return SSum(tuple(out))
 
 
-@dataclass(frozen=True)
-class PdeTerm:
+class PdeTerm(_Record):
     """coeff times an ordered product of factors -phi_{t_i...}; each factor
     is recorded as the sorted multiset of derivative indices."""
 
-    coeff: Fraction
-    factors: tuple
+    __slots__ = ("coeff", "factors")
 
 
 def sigma_terms(expr) -> list:

@@ -197,9 +197,9 @@ def test_cli_verify_unknown_suite_exit_2():
 
 
 def test_cli_verify_failure_exit_1(monkeypatch):
-    import quasisym.cli as cli
+    import quasisym.suites
 
-    monkeypatch.setitem(cli.SUITES, "kp", (lambda mw, mk: [("rigged case", False)], 3))
+    monkeypatch.setitem(quasisym.suites.SUITES, "kp", (lambda mw, mk: [("rigged case", False)], 3))
     code, out, _ = run_cli("verify", "kp")
     assert code == 1
     assert "FAIL kp: rigged case" in out

@@ -1,11 +1,17 @@
+import io
+import pickle
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+
+from quasisym.cli import main
 
 from quasisym.composition import Composition, compositions_of
 from quasisym.elements import QSymElem, monomial, one, to_basis
 from quasisym.hopf import TensorElem, coproduct, derivation_delta, tensor_of
 from quasisym.kp import (
+    PdeTerm,
     PLeaf,
     PTimes,
     SBullet,
@@ -210,6 +216,37 @@ def test_sigma_leaves():
         PLeaf(Fraction(1), ())
     with pytest.raises(ValueError):
         PLeaf(Fraction(1), (1, 2))
+
+
+def test_sigma_nodes_are_frozen_records():
+    x = PLeaf(Fraction(1), (2, 1))
+    # equal only to a node of the same type with the same fields
+    assert PTimes(1, x) != SScale(1, x)
+    assert PTimes(1, x) == PTimes(1, PLeaf(Fraction(1), (2, 1)))
+    assert PTimes(1, x) != PTimes(2, x)
+    assert PdeTerm(Fraction(1), ((1,),)) == PdeTerm(Fraction(1), ((1,),))
+    assert len({SBullet(x, x), SBullet(x, PLeaf(Fraction(1), (2, 1))), SSum((x,))}) == 2
+    assert hash(SSum((x, x))) == hash(SSum((PLeaf(1, (2, 1)), PLeaf(1, (2, 1)))))
+    with pytest.raises(AttributeError):
+        x.coeff = Fraction(2)
+    with pytest.raises(AttributeError):
+        SSum(()).children = (x,)
+    with pytest.raises(AttributeError):
+        del x.parts
+    assert x.coeff == 1 and x.parts == (2, 1)
+    assert pickle.loads(pickle.dumps(PTimes(1, x))) == PTimes(1, x)
+    assert repr(x) == "PLeaf(coeff=Fraction(1, 1), parts=(2, 1))"
+
+
+def test_kp_renders_are_unchanged():
+    # captured from the dataclass nodes these records replaced
+    assert sigma_render(kp_classical_sigma_expression()) == (
+        "-4*phi_{t1,t3} + 3*phi_{t2,t2} + phi_{t1,t1,t1,t1} - 6*phi_{t1}*phi_{t2}"
+        " + 6*phi_{t1}*phi_{t1,t1} + 6*phi_{t2}*phi_{t1} + 6*phi_{t1,t1}*phi_{t1}")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["kp", "--m", "1", "--n", "2", "--pde"]) == 0
+    assert out.getvalue() == f"kp m=1 n=2: PASS\n{KP_EQUATION} = 0\n"
 
 
 def test_sigma_derivative_rule():
