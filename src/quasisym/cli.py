@@ -212,11 +212,12 @@ def evaluate(text: str) -> QSymElem:
     return eval_expr(parse(text))
 
 
-# qss-verify --suite name -> the cases at N variables per alphabet, from quasisym.suites
+# qss-verify --suite name -> (the module that runs it, its cases at N
+# variables per alphabet given that module); kp and closure need qss alone
 QSS_SUITES = {
-    "kp": lambda suites, n: [(f"qss kp identity N={n}", suites.qss_kp_check(n))],
-    "cancel": lambda suites, n: suites.suite_qss_cancel(max_weight=3, nvars=n),
-    "closure": lambda suites, n: suites.suite_qss_closure(max_weight=3, nvars=n),
+    "kp": ("qss", lambda qss, n: [(f"qss kp identity N={n}", qss.qss_kp_check(n))]),
+    "cancel": ("suites", lambda suites, n: suites.suite_qss_cancel(max_weight=3, nvars=n)),
+    "closure": ("qss", lambda qss, n: qss.closure_probe(3, n)),
 }
 
 
@@ -246,8 +247,6 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     """Print one suite's (label, verdict) results; returns overall pass.  A
     suite that ran no case fails: it checked nothing.  The text report follows
     a failed identity case with its residual lhs - rhs."""
-    from quasisym.suites import Residual
-
     ok_count = sum(1 for _, ok in results if ok)
     cases = results or [("no case at these bounds", False)]
     if as_json:
@@ -260,6 +259,8 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
         for case, ok in cases:
             if not ok:
                 out.write(f"FAIL {suite_name}: {case}\n")
+                from quasisym.suites import Residual
+
                 if isinstance(ok, Residual):
                     out.write(f"  lhs - rhs = {ok}\n")
         out.write(f"{suite_name}: {ok_count}/{len(results)} passed\n")
@@ -305,8 +306,7 @@ def main(argv=None) -> int:
                               formatter_class=_HelpFormatter)
     p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
                           help="one of: %(choices)s")
-    p_verify.add_argument("--max", type=int, default=None, help="alias for --max-weight")
-    p_verify.add_argument("--max-weight", type=int, default=None)
+    p_verify.add_argument("--max-weight", "--max", dest="max_weight", type=int, default=None)
     p_verify.add_argument("--max-k", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
 
@@ -347,7 +347,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "kp":
-        from quasisym.kp import kp_identity, kp_sigma_expression, sigma_render
+        from quasisym.kp import kp_identity, kp_sigma, sigma_render
 
         # the report is written whole, so a refused bound leaves no PASS line
         lhs, rhs = kp_identity(args.m, args.n)
@@ -359,23 +359,24 @@ def _dispatch(args, out) -> int:
             ok = certify_kp(args.m, args.n, args.certify)
             lines.append(f"oracle certification @N={args.certify}: {'PASS' if ok else 'FAIL'}\n")
         if args.pde:
-            sigma = kp_sigma_expression(args.m, args.n)
-            lines.append(sigma_render(sigma, normalize=True) + " = 0\n")
+            lines.append(sigma_render(kp_sigma(args.m, args.n), normalize=True) + " = 0\n")
         out.write("".join(lines))
         return 0 if ok else 1
 
-    from quasisym import suites
-
     if args.command == "qss-verify":
-        results = list(QSS_SUITES[args.suite](suites, args.nvars))
+        import importlib
+
+        home, cases = QSS_SUITES[args.suite]
+        results = list(cases(importlib.import_module(f"quasisym.{home}"), args.nvars))
         return 0 if _emit_report(results, f"qss-{args.suite}", args.json, out) else 1
 
     # verify
-    max_weight = args.max_weight if args.max_weight is not None else args.max
+    from quasisym import suites
+
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        results = suites.run_suite(name, max_weight=max_weight, max_k=args.max_k)
+        results = suites.run_suite(name, max_weight=args.max_weight, max_k=args.max_k)
         all_ok = _emit_report(results, name, args.json, out) and all_ok
     return 0 if all_ok else 1
 

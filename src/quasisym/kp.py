@@ -9,11 +9,20 @@ identity family
         = sum_{k=1}^m h_k o (h_{m-k} h_n) - sum_{k=1}^n h_k o (h_{n-k} h_m)
 
 (with o the first graded product) vanishes identically in QSym; rendered
-through the linear map sending p_n to -phi_{t_n}, products of power sums
+through the map sigma sending p_n to -phi_{t_n}, products of power sums
 to mixed t-derivatives and o-products to noncommutative juxtaposition, the
-(1,2) member becomes the noncommutative KP equation.  The rendering acts
-on expression trees, not on evaluated elements: trees with equal values
-may print differently (the difference is a consequence of the hierarchy).
+(1,2) member becomes the noncommutative KP equation.
+
+Sigma is built from sparse coefficient maps: a symmetric function is a
+{partition: coefficient} map over the power sums (`p_leaf`, `h_in_p`,
+`p_product`), and its image is a {factors: coefficient} map, each factor
+the sorted t-indices of one phi (`sigma`, `sigma_bullet`, `sigma_times`).
+Sigma follows how an identity is written, term by term, and never its
+value in QSym: lhs - rhs is 0 in QSym, yet its sigma image is the
+hierarchy equation, so two ways of writing one element can render
+differently (the difference is a consequence of the hierarchy).  That is
+why `kp_sigma` and `kp_classical_sigma` compose the maps along the written
+identity instead of taking QSym elements.
 
 The family is made of products h_m h_n, which `h_product` builds without
 the pairwise quasi-shuffle table of `mul`.  Every word of M_C M_D starts
@@ -141,198 +150,89 @@ def kp_classical_identity():
 
 # -- sigma: rendering identities as hierarchy equations --------------------
 
-class _Record:
-    """A frozen record of the fields named by its class's ``__slots__``: equal
-    only to a record of the same type with equal fields, and hashable."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is frozen")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is frozen")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+def p_leaf(coeff, parts) -> dict:
+    """coeff * p_lambda as a one-term {partition: coefficient} map; lambda is
+    the nonempty multiset of parts (sigma is undefined on constants)."""
+    if not parts:
+        raise ValueError("sigma is undefined on constants: partition must be nonempty")
+    for p in parts:
+        positive_index(p, "partition part")
+    return scaled_terms(coeff, {tuple(sorted(parts, reverse=True)): 1})
 
 
-class PLeaf(_Record):
-    """coeff * p_lambda for a nonempty partition lambda (zero counit)."""
-
-    __slots__ = ("coeff", "parts")
-
-    def __init__(self, coeff: Fraction, parts: tuple):
-        if not parts:
-            raise ValueError("sigma is undefined on constants: partition must be nonempty")
-        for p in parts:
-            positive_index(p, "partition part")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"not a partition: {parts!r}")
-        super().__init__(coeff, parts)
-
-
-class PTimes(_Record):
-    """Multiplication by p_n: renders as the t_n-derivative of the inside."""
-
-    __slots__ = ("n", "inner")
-
-
-class SBullet(_Record):
-    __slots__ = ("left", "right")
-
-
-class SScale(_Record):
-    __slots__ = ("coeff", "inner")
-
-
-class SSum(_Record):
-    __slots__ = ("children",)
-
-
-def p_leaf(coeff, parts) -> PLeaf:
-    return PLeaf(Fraction(coeff), tuple(sorted(parts, reverse=True)))
-
-
-def h_leaf_sum(n: int) -> SSum:
-    """h_n as a sum of p_lambda leaves (coefficients 1 / z_lambda).
+def h_in_p(n: int) -> dict:
+    """h_n over the power sums: p_lambda with coefficient 1 / z_lambda.
 
     n >= 1: h_0 has nonzero counit, so it appears only inside ordinary products.
     """
-    leaves = []
-    schur = elementary_schur(positive_index(n, "leaf sum index"))
-    for lam, coeff in sorted(schur.items(), key=lambda kv: tuple(kv[0])):
-        for part in lam:
-            coeff = coeff / part
-        leaves.append(PLeaf(coeff, tuple(lam)))
-    return SSum(tuple(leaves))
+    schur = elementary_schur(positive_index(n, "power-sum expansion index"))
+    return sum_terms(*(p_leaf(coeff / math.prod(lam), lam) for lam, coeff in schur.items()))
 
 
-def merge_partitions(a, b) -> tuple:
-    return tuple(sorted(tuple(a) + tuple(b), reverse=True))
+def p_product(x: dict, y: dict) -> dict:
+    """The ordinary product of two power-sum maps: partitions merge."""
+    return bilinear(x, y, lambda a, b: (tuple(sorted(a + b, reverse=True)),))
 
 
-def leaf_product(x: SSum, y: SSum) -> SSum:
-    """Ordinary product of two leaf sums (symmetric functions stay leaves)."""
-    out = []
-    for la in x.children:
-        for lb in y.children:
-            out.append(PLeaf(la.coeff * lb.coeff, merge_partitions(la.parts, lb.parts)))
-    return SSum(tuple(out))
+def sigma(x: dict) -> dict:
+    """c p_lambda -> -c phi_{t_lambda}: a {factors: coefficient} map whose key is
+    one factor, the sorted derivative indices of phi."""
+    return linear(x, lambda lam: {(tuple(sorted(lam)),): -1})
 
 
-class PdeTerm(_Record):
-    """coeff times an ordered product of factors -phi_{t_i...}; each factor
-    is recorded as the sorted multiset of derivative indices."""
-
-    __slots__ = ("coeff", "factors")
+def sigma_bullet(f: dict, g: dict) -> dict:
+    """sigma(a o b) = sigma(a) sigma(b): the factors concatenate, order kept."""
+    return bilinear(f, g, lambda a, b: (a + b,))
 
 
-def sigma_terms(expr) -> list:
-    """Apply the correspondence and collect like terms.
-
-    Rules: sigma(c p_lambda) = -c phi_{t_lambda}; sigma(p_n a) is the
-    t_n-derivative of sigma(a) (Leibniz across factors, order kept);
-    sigma(a o b) = sigma(a) sigma(b) with factors concatenated.
-    """
-    terms = _sigma(expr)
-    return [PdeTerm(terms[f], f) for f in sorted(terms, key=_term_key)]
+def sigma_times(n: int, f: dict) -> dict:
+    """sigma(p_n a): the t_n-derivative of sigma(a), by Leibniz across the factors."""
+    n = positive_index(n, "derivative index")
+    return linear(f, lambda fs: (
+        fs[:i] + (tuple(sorted(fs[i] + (n,))),) + fs[i + 1:] for i in range(len(fs))))
 
 
 def _term_key(factors):
     return (len(factors), tuple((len(f), f) for f in factors))
 
 
-def _sigma(expr) -> dict:
-    """sigma(expr) as a {factors: coefficient} map."""
-    if isinstance(expr, PLeaf):
-        return scaled_terms(expr.coeff, {(tuple(sorted(expr.parts)),): -1})
-    if isinstance(expr, SScale):
-        return scaled_terms(expr.coeff, _sigma(expr.inner))
-    if isinstance(expr, SSum):
-        return sum_terms(*map(_sigma, expr.children))
-    if isinstance(expr, SBullet):
-        return bilinear(_sigma(expr.left), _sigma(expr.right), lambda f, g: (f + g,))
-    if isinstance(expr, PTimes):
-        n = positive_index(expr.n, "derivative index")
-        return linear(_sigma(expr.inner), lambda f: (
-            f[:i] + (tuple(sorted(f[i] + (n,))),) + f[i + 1:] for i in range(len(f))))
-    raise TypeError(f"not a sigma expression: {expr!r}")
-
-
-def render_terms(terms, normalize: bool = False) -> str:
-    """Deterministic text for a collected term list.
+def sigma_render(terms: dict, normalize: bool = False) -> str:
+    """Deterministic text of a sigma image, terms in `_term_key` order.
 
     With normalize the whole expression is scaled by the least common
     denominator, with the sign that makes the first term positive.
     """
-    if not terms:
-        return "0"
+    order = sorted(terms, key=_term_key)
     factor = 1
-    if normalize:
-        factor = math.lcm(*(t.coeff.denominator for t in terms))
-        if terms[0].coeff < 0:
+    if normalize and order:
+        factor = math.lcm(*(terms[f].denominator for f in order))
+        if terms[order[0]] < 0:
             factor = -factor
     def phi(f):
         return "phi_{" + ",".join(f"t{i}" for i in f) + "}"
-    return format_terms((t.coeff * factor, "*".join(map(phi, t.factors))) for t in terms)
+    return format_terms((terms[f] * factor, "*".join(map(phi, f))) for f in order)
 
 
-def sigma_render(expr, normalize: bool = False) -> str:
-    """Text of sigma(expr); normalize scales away denominators and fixes the sign."""
-    return render_terms(sigma_terms(expr), normalize)
-
-
-def kp_sigma_expression(m: int, n: int) -> SSum:
-    """Expression tree of the (m, n) identity's lhs - rhs, ready for sigma."""
+def kp_sigma(m: int, n: int) -> dict:
+    """sigma of the (m, n) identity's lhs - rhs, written in its h-form."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
-    children = list(leaf_product(h_leaf_sum(m), h_leaf_sum(n + 1)).children)
-    children.extend(SScale(Fraction(-1), leaf) for leaf in
-                    leaf_product(h_leaf_sum(m + 1), h_leaf_sum(n)).children)
 
-    def h_mul_h(a: int, b: int) -> SSum:
-        if a == 0:
-            return h_leaf_sum(b)
-        return leaf_product(h_leaf_sum(a), h_leaf_sum(b))
+    def h_h(a: int, b: int) -> dict:  # h_a h_b, with h_0 = 1
+        return p_product(h_in_p(a), h_in_p(b)) if a else h_in_p(b)
 
-    for k in range(1, m + 1):
-        children.append(SScale(Fraction(-1), SBullet(h_leaf_sum(k), h_mul_h(m - k, n))))
-    for k in range(1, n + 1):
-        children.append(SBullet(h_leaf_sum(k), h_mul_h(n - k, m)))
-    return SSum(tuple(children))
+    def bullets(a: int, b: int) -> list:  # h_k o (h_{a-k} h_b) for k = 1..a
+        return [sigma_bullet(sigma(h_in_p(k)), sigma(h_h(a - k, b))) for k in range(1, a + 1)]
+
+    lhs = sum_terms(h_h(m, n + 1), scaled_terms(-1, h_h(m + 1, n)))
+    return sum_terms(sigma(lhs), scaled_terms(-1, sum_terms(*bullets(m, n))), *bullets(n, m))
 
 
-def kp_classical_sigma_expression() -> SSum:
-    """Tree of 4 p1 p3 - 3 p2^2 - p1^4 + 6 p1 (p1 o p1) - 6 (p1 o p2) + 6 (p2 o p1)."""
-    p = lambda *parts: SSum((PLeaf(Fraction(1), tuple(parts)),))
-    return SSum(
-        (
-            p_leaf(4, (3, 1)),
-            p_leaf(-3, (2, 2)),
-            p_leaf(-1, (1, 1, 1, 1)),
-            SScale(Fraction(6), PTimes(1, SBullet(p(1), p(1)))),
-            SScale(Fraction(-6), SBullet(p(1), p(2))),
-            SScale(Fraction(6), SBullet(p(2), p(1))),
-        )
+def kp_classical_sigma() -> dict:
+    """sigma of 4 p1 p3 - 3 p2^2 - p1^4 + 6 p1 (p1 o p1) - 6 (p1 o p2) + 6 (p2 o p1)."""
+    p1, p2 = sigma(p_leaf(1, (1,))), sigma(p_leaf(1, (2,)))
+    return sum_terms(
+        sigma(sum_terms(p_leaf(4, (3, 1)), p_leaf(-3, (2, 2)), p_leaf(-1, (1, 1, 1, 1)))),
+        scaled_terms(6, sigma_times(1, sigma_bullet(p1, p1))),
+        scaled_terms(-6, sigma_bullet(p1, p2)),
+        scaled_terms(6, sigma_bullet(p2, p1)),
     )

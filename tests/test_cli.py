@@ -173,6 +173,13 @@ def test_cli_verify_suite():
     assert "kp: 9/9 passed" in out
 
 
+def test_cli_verify_max_is_a_spelling_of_max_weight():
+    # one value: whichever spelling comes last sets it
+    spellings = [("--max", "2"), ("--max-weight", "2"), ("--max-weight", "3", "--max", "2")]
+    reports = {run_cli("verify", "kp", *flags) for flags in spellings}
+    assert reports == {(0, "kp: 4/4 passed\n", "")}
+
+
 def test_cli_verify_flags_reach_acceptance_bounds():
     code, out, _ = run_cli("verify", "lemma-iter", "--max-weight", "4", "--max-k", "3")
     assert code == 0

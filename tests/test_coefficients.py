@@ -15,7 +15,7 @@ from quasisym.hopf import (
     tensor_mul, tensor_of,
 )
 from quasisym.kp import (
-    PLeaf, complete_h, elementary_schur, h_leaf_sum, h_product, kp_identity, kp_sigma_expression,
+    complete_h, elementary_schur, h_in_p, h_product, kp_identity, kp_sigma, p_leaf,
 )
 from quasisym.oracle import Polynomial, expand, expand_bullet
 from quasisym.products import bullet, bullet_via_first, elementary_F, hat_bullet, mul, reverse_map
@@ -40,7 +40,10 @@ def test_coefficient_normal_form():
     lambda: QssPoly(1, {((1,), (0,)): 0.5}),
     lambda: Polynomial(1, {(1,): "1/2"}),
     lambda: 0.5 * monomial("M", (1,)),
-], ids=["QSymElem", "TensorElem", "Polynomial", "QssPoly", "string", "scalar"])
+    lambda: p_leaf(0.25, (1,)),
+    lambda: p_leaf("3/2", (1,)),
+], ids=["QSymElem", "TensorElem", "Polynomial", "QssPoly", "string", "scalar", "p_leaf",
+        "p_leaf-string"])
 def test_floats_are_refused_everywhere(build):
     with pytest.raises(TypeError):
         build()
@@ -104,10 +107,10 @@ INTEGER_SITES = [
     ("elementary_schur", elementary_schur, 0),
     ("kp_identity-m", lambda v: kp_identity(v, 1), 1),
     ("kp_identity-n", lambda v: kp_identity(1, v), 1),
-    ("h_leaf_sum", h_leaf_sum, 1),
-    ("kp_sigma_expression-m", lambda v: kp_sigma_expression(v, 1), 1),
-    ("kp_sigma_expression-n", lambda v: kp_sigma_expression(1, v), 1),
-    ("PLeaf", lambda v: PLeaf(Fraction(1), (v,)), 1),
+    ("h_in_p", h_in_p, 1),
+    ("kp_sigma-m", lambda v: kp_sigma(v, 1), 1),
+    ("kp_sigma-n", lambda v: kp_sigma(1, v), 1),
+    ("p_leaf", lambda v: p_leaf(1, (v,)), 1),
     ("Polynomial-n", Polynomial, 0),
     ("Polynomial-exponent", lambda v: Polynomial(2, {(1, v): 1}), 0),
     ("expand-n", lambda v: expand(M1, v), 1),

@@ -1,5 +1,5 @@
+import hashlib
 import io
-import pickle
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -8,28 +8,26 @@ import pytest
 from quasisym.cli import main
 
 from quasisym.composition import Composition, compositions_of
-from quasisym.elements import QSymElem, monomial, one, to_basis
+from quasisym.elements import QSymElem, monomial, one, sum_terms, to_basis
 from quasisym.hopf import TensorElem, coproduct, derivation_delta, tensor_of
 from quasisym.kp import (
-    PdeTerm,
-    PLeaf,
-    PTimes,
-    SBullet,
-    SScale,
-    SSum,
     _h_words,
     complete_h,
     elementary_schur,
     h_product,
     kp_classical_identity,
-    kp_classical_sigma_expression,
+    kp_classical_sigma,
     kp_identity,
-    kp_sigma_expression,
+    kp_sigma,
+    p_leaf,
+    p_product,
     partitions_of,
     power_sum,
     schur_substitution,
+    sigma,
+    sigma_bullet,
     sigma_render,
-    sigma_terms,
+    sigma_times,
 )
 from quasisym.oracle import expand, poly_mul
 from quasisym.products import bullet, mul
@@ -207,40 +205,18 @@ def test_derivation_form_of_kp():
 
 
 def test_sigma_leaves():
-    assert sigma_render(PLeaf(Fraction(1), (3,))) == "-phi_{t3}"
+    assert sigma_render(sigma(p_leaf(1, (3,)))) == "-phi_{t3}"
     assert (
-        sigma_render(SBullet(PLeaf(Fraction(1), (1,)), PLeaf(Fraction(1), (2,))))
+        sigma_render(sigma_bullet(sigma(p_leaf(1, (1,))), sigma(p_leaf(1, (2,)))))
         == "phi_{t1}*phi_{t2}"
     )
     with pytest.raises(ValueError):
-        PLeaf(Fraction(1), ())
-    with pytest.raises(ValueError):
-        PLeaf(Fraction(1), (1, 2))
-
-
-def test_sigma_nodes_are_frozen_records():
-    x = PLeaf(Fraction(1), (2, 1))
-    # equal only to a node of the same type with the same fields
-    assert PTimes(1, x) != SScale(1, x)
-    assert PTimes(1, x) == PTimes(1, PLeaf(Fraction(1), (2, 1)))
-    assert PTimes(1, x) != PTimes(2, x)
-    assert PdeTerm(Fraction(1), ((1,),)) == PdeTerm(Fraction(1), ((1,),))
-    assert len({SBullet(x, x), SBullet(x, PLeaf(Fraction(1), (2, 1))), SSum((x,))}) == 2
-    assert hash(SSum((x, x))) == hash(SSum((PLeaf(1, (2, 1)), PLeaf(1, (2, 1)))))
-    with pytest.raises(AttributeError):
-        x.coeff = Fraction(2)
-    with pytest.raises(AttributeError):
-        SSum(()).children = (x,)
-    with pytest.raises(AttributeError):
-        del x.parts
-    assert x.coeff == 1 and x.parts == (2, 1)
-    assert pickle.loads(pickle.dumps(PTimes(1, x))) == PTimes(1, x)
-    assert repr(x) == "PLeaf(coeff=Fraction(1, 1), parts=(2, 1))"
+        p_leaf(1, ())
 
 
 def test_kp_renders_are_unchanged():
-    # captured from the dataclass nodes these records replaced
-    assert sigma_render(kp_classical_sigma_expression()) == (
+    # captured from the expression-tree renderer these maps replaced
+    assert sigma_render(kp_classical_sigma()) == (
         "-4*phi_{t1,t3} + 3*phi_{t2,t2} + phi_{t1,t1,t1,t1} - 6*phi_{t1}*phi_{t2}"
         " + 6*phi_{t1}*phi_{t1,t1} + 6*phi_{t2}*phi_{t1} + 6*phi_{t1,t1}*phi_{t1}")
     out = io.StringIO()
@@ -249,35 +225,49 @@ def test_kp_renders_are_unchanged():
     assert out.getvalue() == f"kp m=1 n=2: PASS\n{KP_EQUATION} = 0\n"
 
 
+def test_every_family_render_is_unchanged():
+    # the SHA-256 of every member with m, n <= 4 and of the classical
+    # identity, raw and normalised, as the expression-tree renderer printed them
+    lines = []
+    for m in range(1, 5):
+        for n in range(1, 5):
+            terms = kp_sigma(m, n)
+            lines.append(f"{m},{n} raw: {sigma_render(terms)}")
+            lines.append(f"{m},{n} norm: {sigma_render(terms, normalize=True)}")
+    lines.append(f"classical raw: {sigma_render(kp_classical_sigma())}")
+    lines.append(f"classical norm: {sigma_render(kp_classical_sigma(), normalize=True)}")
+    text = "\n".join(lines)
+    assert len(text) == 19803
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c0c0834f5da5b2d3c9f4f51391eaf5a3225d53c472cdd57163c893be4183640e")
+
+
 def test_sigma_derivative_rule():
     # p_1 (p_1 o p_1) renders with the product rule, order preserved
-    expr = PTimes(1, SBullet(PLeaf(Fraction(1), (1,)), PLeaf(Fraction(1), (1,))))
-    terms = sigma_terms(expr)
-    assert [(t.coeff, t.factors) for t in terms] == [
-        (Fraction(1), ((1,), (1, 1))),
-        (Fraction(1), ((1, 1), (1,))),
-    ]
+    p1 = sigma(p_leaf(1, (1,)))
+    terms = sigma_times(1, sigma_bullet(p1, p1))
+    assert terms == {((1,), (1, 1)): 1, ((1, 1), (1,)): 1}
+    assert sigma_render(terms) == "phi_{t1}*phi_{t1,t1} + phi_{t1,t1}*phi_{t1}"
 
 
 def test_sigma_collects_like_terms():
-    expr = SSum((PLeaf(Fraction(2), (2, 1)), SScale(Fraction(-1), PLeaf(Fraction(2), (2, 1)))))
-    assert sigma_terms(expr) == []
+    # p_leaf sorts the parts, so the two leaves are one term and cancel
+    assert sigma(sum_terms(p_leaf(2, (2, 1)), p_leaf(-2, (1, 2)))) == {}
+    assert sigma_render({}) == "0"
 
 
 def test_classical_rendering_matches_kp_equation():
-    raw = sigma_render(kp_classical_sigma_expression())
+    raw = sigma_render(kp_classical_sigma())
     assert raw.startswith("-4*phi_{t1,t3} + 3*phi_{t2,t2} + phi_{t1,t1,t1,t1}")
-    assert sigma_render(kp_classical_sigma_expression(), normalize=True) == KP_EQUATION
+    assert sigma_render(kp_classical_sigma(), normalize=True) == KP_EQUATION
 
 
 def test_h_form_rendering_matches_kp_equation():
-    # the (1,2) member, rendered from its h-form tree and cleared of
+    # the (1,2) member, rendered from its h-form and cleared of
     # denominators, reproduces the same equation text
-    assert sigma_render(kp_sigma_expression(1, 2), normalize=True) == KP_EQUATION
+    assert sigma_render(kp_sigma(1, 2), normalize=True) == KP_EQUATION
 
 
 def test_sigma_rejects_junk():
-    with pytest.raises(TypeError):
-        sigma_terms("p1")
     with pytest.raises(ValueError):
-        sigma_terms(PTimes(0, PLeaf(Fraction(1), (1,))))
+        sigma_times(0, sigma(p_leaf(1, (1,))))

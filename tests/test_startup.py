@@ -110,6 +110,13 @@ def test_basis_expression_loads_only_the_algebra():
     assert not loaded & {"quasisym.kp", "quasisym.hopf", "quasisym.oracle"}
 
 
+@pytest.mark.parametrize("suite", ["kp", "closure"])
+def test_qss_verify_loads_only_the_two_alphabet_module(suite):
+    loaded = loaded_by("qss-verify", "--N", "2", "--suite", suite)
+    assert "quasisym.qss" in loaded
+    assert not loaded & {"quasisym.suites", "quasisym.hopf", "quasisym.kp"}
+
+
 def test_verify_names_every_suite_on_a_bad_choice():
     from quasisym.suites import SUITES
 
