@@ -212,12 +212,12 @@ def evaluate(text: str) -> QSymElem:
     return eval_expr(parse(text))
 
 
-# qss-verify --suite name -> (the module that runs it, its cases at N
-# variables per alphabet given that module); kp and closure need qss alone
+# qss-verify --suite name -> its cases at N variables per alphabet, given the
+# qss module, the only one that any of them needs
 QSS_SUITES = {
-    "kp": ("qss", lambda qss, n: [(f"qss kp identity N={n}", qss.qss_kp_check(n))]),
-    "cancel": ("suites", lambda suites, n: suites.suite_qss_cancel(max_weight=3, nvars=n)),
-    "closure": ("qss", lambda qss, n: qss.closure_probe(3, n)),
+    "kp": lambda qss, n: [(f"qss kp identity N={n}", qss.qss_kp_check(n))],
+    "cancel": lambda qss, n: qss.cancel_cases(3, n),
+    "closure": lambda qss, n: qss.closure_probe(3, n),
 }
 
 
@@ -364,10 +364,9 @@ def _dispatch(args, out) -> int:
         return 0 if ok else 1
 
     if args.command == "qss-verify":
-        import importlib
+        from quasisym import qss
 
-        home, cases = QSS_SUITES[args.suite]
-        results = list(cases(importlib.import_module(f"quasisym.{home}"), args.nvars))
+        results = list(QSS_SUITES[args.suite](qss, args.nvars))
         return 0 if _emit_report(results, f"qss-{args.suite}", args.json, out) else 1
 
     # verify

@@ -2,13 +2,16 @@
 
 Every object in the package — a QSym element, a tensor, a polynomial of
 the oracle or of the two-alphabet extension — is a finitely supported map
-from keys to nonzero coefficients, each an int when integral and a
-Fraction otherwise.  `Sparse` holds that map together with a space tag
-(the basis, the variable count, or none) and owns the linear structure
-and the printing; subclasses supply the key check, how two spaces meet,
-their product, the term order and the atom text.  `linear` and `bilinear`
-evaluate linear and bilinear maps given on keys: they accumulate int
-numerators over one common denominator and divide once at the end.
+from keys to nonzero rationals.  `Sparse` stores it as `nums`, a map from
+key to nonzero int, over one `den >= 1` coprime to every numerator, so `==`
+compares one int map and one int; `.terms` is the read-only view built on
+first read, each coefficient an int when integral and a Fraction otherwise.
+`Sparse` also holds a space tag (the basis, the variable count, or none)
+and owns the linear structure and the printing; subclasses supply the key
+check, how two spaces meet, their product, the term order and the atom
+text.  `linear` and `bilinear` evaluate linear and bilinear maps given on
+keys: they accumulate int numerators over the product of the denominators
+and reduce by one gcd at the end.
 
 A QSym element carries a basis tag — "M" (monomial), "Mt" (the weakly
 increasing variant) or "F" (fundamental).  The M basis is the internal
@@ -27,7 +30,8 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from quasisym.composition import (
     Composition,
@@ -41,6 +45,8 @@ BASES = ("M", "Mt", "F")
 
 
 # -- coefficients ----------------------------------------------------------
+# A form is (nums, den): nonzero int numerators over one den >= 1 coprime to
+# them all.  A coefficient map is {key: int or Fraction}, as `.terms` shows.
 
 def coefficient(x):
     """x in stored form: an int when integral, else a Fraction; floats raise."""
@@ -51,49 +57,64 @@ def coefficient(x):
     raise TypeError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
 
-def numerators(terms: dict):
-    """(d, nums) with terms[key] == nums[key] / d, d the lcm of the denominators."""
-    d = lcm(*[v.denominator for v in terms.values()])
-    if d == 1:
-        return 1, terms
-    return d, {k: v.numerator * (d // v.denominator) for k, v in terms.items()}
+def form_of(terms: dict) -> tuple:
+    """The form of a map of nonzero coefficients: den is the lcm of their
+    denominators, coprime to the numerators because each Fraction is reduced."""
+    den = lcm(*[v.denominator for v in terms.values()])
+    return {k: v.numerator * (den // v.denominator) for k, v in terms.items()}, den
 
 
-def stored(sums: dict, d: int = 1) -> dict:
-    """The stored coefficients sums[key] / d: zeros dropped, ints where integral."""
-    if d == 1:
-        return {k: v for k, v in sums.items() if v}
-    out = {}
-    for k, v in sums.items():
-        if v:
-            q, r = divmod(v, d)
-            out[k] = Fraction(v, d) if r else q
-    return out
+def reduced(acc: dict, den: int = 1) -> tuple:
+    """The form of acc[key] / den: zeros dropped, one gcd divided out."""
+    nums = {k: v for k, v in acc.items() if v}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: v // g for k, v in nums.items()}, den // g
+
+
+def terms_of(nums: dict, den: int) -> dict:
+    """The coefficient map of a form: ints where integral, else Fractions
+    (nums itself when den is 1)."""
+    if den == 1:
+        return nums
+    return {k: Fraction(v, den) if v % den else v // den for k, v in nums.items()}
+
+
+def sum_forms(*forms) -> tuple:
+    """The form of the key-wise sum of forms."""
+    den = lcm(*[d for _, d in forms])
+    acc = defaultdict(int)
+    for nums, d in forms:
+        s = den // d
+        for k, v in nums.items():
+            acc[k] += v * s
+    return reduced(acc, den)
+
+
+def scaled(r, form) -> tuple:
+    """The form of r times a form."""
+    r = coefficient(r)
+    nums, den = form
+    return reduced({k: v * r.numerator for k, v in nums.items()}, den * r.denominator)
 
 
 def sum_terms(*maps) -> dict:
-    """Stored form of the key-wise sum of coefficient maps."""
-    d = lcm(*[v.denominator for m in maps for v in m.values()])
-    acc = defaultdict(int)
-    for m in maps:
-        for k, v in m.items():
-            acc[k] += v.numerator * (d // v.denominator)
-    return stored(acc, d)
+    """The key-wise sum of coefficient maps."""
+    return terms_of(*sum_forms(*map(form_of, maps)))
 
 
 def scaled_terms(r, terms: dict) -> dict:
-    """Stored form of r times every coefficient of a map."""
-    r = coefficient(r)
-    return {k: coefficient(r * v) for k, v in terms.items()} if r else {}
+    """r times every coefficient of a map."""
+    return terms_of(*scaled(r, form_of(terms)))
 
 
-def bilinear(left: dict, right: dict, image) -> dict:
-    """Stored form of the sum of left[a] * right[b] * image(a, b).
+def bilinear(left, right, image) -> tuple:
+    """The form of the sum of left[a] * right[b] * image(a, b), left and right forms.
 
     image(a, b) is a dict {key: int}, or an iterable of keys that each count once.
     """
-    dl, nl = numerators(left)
-    dr, nr = numerators(right)
+    (nl, dl), (nr, dr) = left, right
     nr = list(nr.items())
     acc = defaultdict(int)
     for a, x in nl.items():
@@ -106,12 +127,12 @@ def bilinear(left: dict, right: dict, image) -> dict:
             else:
                 for k in out:
                     acc[k] += c
-    return stored(acc, dl * dr)
+    return reduced(acc, dl * dr)
 
 
-def linear(terms: dict, image) -> dict:
-    """Stored form of the sum of terms[key] * image(key), images as in `bilinear`."""
-    return bilinear(terms, {(): 1}, lambda key, _: image(key))
+def linear(form, image) -> tuple:
+    """The form of the sum of form[key] * image(key), images as in `bilinear`."""
+    return bilinear(form, ({(): 1}, 1), lambda key, _: image(key))
 
 
 # -- printing --------------------------------------------------------------
@@ -137,36 +158,51 @@ def format_terms(pairs) -> str:
 class Sparse:
     """An immutable finitely supported linear combination over a space.
 
-    Values are immutable by convention: operations always build new
-    objects.  Subclasses define `_key` (check one key of outside input),
-    `_product` (of two operands over one space), `_order` (the sort key of
-    a key) and `_atom` (the text of a key), and may redefine `_align`
-    (bring two operands to one space).  Operands meet only when their
-    classes match exactly: a `QssPoly` is a `Polynomial` but never equals,
-    adds to or multiplies with one.
+    Operations always build new objects, and `.terms` cannot be written;
+    `nums` is shared with the view and must be treated as read-only.
+    Subclasses define `_key` (check one key of outside input), `_product`
+    (of two operands over one space), `_order` (the sort key of a key) and
+    `_atom` (the text of a key), and may redefine `_align` (bring two
+    operands to one space).  Operands meet only when their classes match
+    exactly: a `QssPoly` is a `Polynomial` but never equals, adds to or
+    multiplies with one.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "nums", "den", "_view")
 
     def __init__(self, space, terms=None):
-        _set_space(self, space)
+        _set_space(self, space)  # the key check may read it
         clean = {}
         for key, coeff in (terms or {}).items():
             coeff = coefficient(coeff)
             if coeff:
                 clean[self._key(key)] = coeff
-        _set_terms(self, clean)
+        nums, den = form_of(clean)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     @classmethod
-    def _raw(cls, space, terms: dict):
-        """Keys of the stored type and stored coefficients, unchecked.
+    def _raw(cls, space, nums: dict, den: int = 1):
+        """Keys of the stored type and a form, unchecked.
 
         Only for results the library built itself; outside input goes through __init__.
         """
         self = object.__new__(cls)
         _set_space(self, space)
-        _set_terms(self, terms)
+        _set_nums(self, nums)
+        _set_den(self, den)
         return self
+
+    form = property(lambda self: (self.nums, self.den), doc="the pair (nums, den)")
+
+    @property
+    def terms(self):
+        """The read-only {key: coefficient} view: an int when integral, else a Fraction."""
+        try:
+            return self._view
+        except AttributeError:
+            _set_view(self, MappingProxyType(terms_of(self.nums, self.den)))
+            return self._view
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -186,10 +222,10 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         a, b = self._align(other)
-        return a._raw(a.space, sum_terms(a.terms, b.terms))
+        return a._raw(a.space, *sum_forms(a.form, b.form))
 
     def __neg__(self):
-        return self._raw(self.space, {k: -v for k, v in self.terms.items()})
+        return self._raw(self.space, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -204,7 +240,7 @@ class Sparse:
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return self._raw(self.space, scaled_terms(scalar, self.terms))
+            return self._raw(self.space, *scaled(scalar, self.form))
         return NotImplemented
 
     def __eq__(self, other):
@@ -215,12 +251,12 @@ class Sparse:
                 self, other = self._align(other)
             except ValueError:
                 return False
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def sorted_terms(self):
         order = self._order
@@ -235,7 +271,8 @@ class Sparse:
 
 
 # the slots' own setters: __setattr__ refuses every write
-_set_space, _set_terms = Sparse.space.__set__, Sparse.terms.__set__
+_set_space, _set_nums, _set_den, _set_view = (
+    Sparse.__dict__[name].__set__ for name in Sparse.__slots__)
 
 
 class QSymElem(Sparse):
@@ -255,11 +292,11 @@ class QSymElem(Sparse):
         Sparse.__init__(self, basis, terms)
 
     @classmethod
-    def _words(cls, basis: str, terms: dict) -> "QSymElem":
+    def _words(cls, basis: str, nums: dict, den: int = 1) -> "QSymElem":
         """Like _raw, with kernel words (valid by construction) as keys: they
         become Compositions without re-validation."""
         new = tuple.__new__
-        return cls._raw(basis, {new(Composition, w): v for w, v in terms.items()})
+        return cls._raw(basis, {new(Composition, w): v for w, v in nums.items()}, den)
 
     _key = staticmethod(Composition)
     _order = staticmethod(canonical_key)
@@ -280,7 +317,7 @@ class QSymElem(Sparse):
     @property
     def degree(self) -> int:
         """Max weight over the support; 0 for the zero element."""
-        return max((c.weight for c in self.terms), default=0)
+        return max((c.weight for c in self.nums), default=0)
 
 
 def monomial(basis: str, comp) -> QSymElem:
@@ -298,7 +335,7 @@ def one(basis: str = "M") -> QSymElem:
 
 
 def scale(r, a: QSymElem) -> QSymElem:
-    return QSymElem._raw(a.basis, scaled_terms(r, a.terms))
+    return QSymElem._raw(a.basis, *scaled(r, a.form))
 
 
 # -- base change ---------------------------------------------------------
@@ -324,12 +361,12 @@ def to_basis(a: QSymElem, target: str) -> QSymElem:
         raise ValueError(f"unknown basis {target!r}")
     if a.basis == target:
         return a
-    terms = a.terms
+    form = a.form
     if a.basis != "M":
-        terms = linear(terms, _TO_M[a.basis])
+        form = linear(form, _TO_M[a.basis])
     if target != "M":
-        terms = linear(terms, partial(_from_m, target))
-    return QSymElem._raw(target, terms)
+        form = linear(form, partial(_from_m, target))
+    return QSymElem._raw(target, *form)
 
 
 def counit(a: QSymElem):

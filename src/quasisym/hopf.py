@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from quasisym._core import quasi_shuffle
 from quasisym.composition import Composition, canonical_key, omega, positive_index
-from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, monomial, to_basis
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, monomial, reduced, to_basis
 from quasisym.products import _bullet_words, bullet, mul
 
 
@@ -25,12 +25,12 @@ class TensorElem(Sparse):
         Sparse.__init__(self, None, terms)
 
     @classmethod
-    def _words(cls, terms: dict) -> "TensorElem":
+    def _words(cls, nums: dict, den: int = 1) -> "TensorElem":
         """Like QSymElem._words, on pairs of kernel words."""
         new = tuple.__new__
         return cls._raw(None, {
-            (new(Composition, a), new(Composition, b)): v for (a, b), v in terms.items()
-        })
+            (new(Composition, a), new(Composition, b)): v for (a, b), v in nums.items()
+        }, den)
 
     @staticmethod
     def _key(key) -> tuple:
@@ -49,29 +49,30 @@ class TensorElem(Sparse):
 
 def tensor_of(a: QSymElem, b: QSymElem) -> TensorElem:
     """The pure tensor a (x) b, bilinearly."""
-    return TensorElem._raw(None, bilinear(_m(a).terms, _m(b).terms, lambda A, B: ((A, B),)))
+    return TensorElem._raw(None, *bilinear(_m(a).form, _m(b).form, lambda A, B: ((A, B),)))
 
 
 def coproduct(a: QSymElem) -> TensorElem:
     """Deconcatenation: Delta(M_C) = sum over C = AB of M_A (x) M_B (one C per key)."""
+    m = _m(a)
     return TensorElem._words({
         (comp[:cut], comp[cut:]): coeff
-        for comp, coeff in _m(a).terms.items()
+        for comp, coeff in m.nums.items()
         for cut in range(len(comp) + 1)
-    })
+    }, m.den)
 
 
 def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     """(a (x) b) o_k c = a (x) (b o_k c)."""
     positive_index(k, "product index")
-    return TensorElem._words(bilinear(t.terms, _m(c).terms, lambda ab, C: (
+    return TensorElem._words(*bilinear(t.form, _m(c).form, lambda ab, C: (
         (ab[0], w) for w in _bullet_words(k, ab[1], C))))
 
 
 def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     """c o_k (a (x) b) = (c o_k a) (x) b."""
     positive_index(k, "product index")
-    return TensorElem._words(bilinear(_m(c).terms, t.terms, lambda C, ab: (
+    return TensorElem._words(*bilinear(_m(c).form, t.form, lambda C, ab: (
         (w, ab[1]) for w in _bullet_words(k, C, ab[0]))))
 
 
@@ -85,13 +86,14 @@ def _leg_products(ab, cd) -> dict:
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    return TensorElem._words(bilinear(t.terms, u.terms, _leg_products))
+    return TensorElem._words(*bilinear(t.form, u.form, _leg_products))
 
 
 def _collapse(t: TensorElem, product) -> QSymElem:
-    """Sum of coeff * product(M_left, M_right) over t's terms."""
-    return QSymElem._raw("M", linear(t.terms, lambda ab: product(
-        monomial("M", ab[0]), monomial("M", ab[1])).terms))
+    """Sum of coeff * product(M_left, M_right) over t's terms.  A product of two
+    basis elements has den 1, so its numerators are its coefficients."""
+    return QSymElem._raw("M", *linear(t.form, lambda ab: product(
+        monomial("M", ab[0]), monomial("M", ab[1])).nums))
 
 
 def m_k(k: int, t: TensorElem) -> QSymElem:
@@ -101,18 +103,19 @@ def m_k(k: int, t: TensorElem) -> QSymElem:
 
 def counit_left(t: TensorElem) -> QSymElem:
     """(eps (x) id) applied to a tensor."""
-    return QSymElem._raw("M", {right: c for (left, right), c in t.terms.items() if not left})
+    return QSymElem._raw("M", *reduced({b: c for (a, b), c in t.nums.items() if not a}, t.den))
 
 
 def counit_right(t: TensorElem) -> QSymElem:
     """(id (x) eps) applied to a tensor."""
-    return QSymElem._raw("M", {left: c for (left, right), c in t.terms.items() if not right})
+    return QSymElem._raw("M", *reduced({a: c for (a, b), c in t.nums.items() if not b}, t.den))
 
 
 def antipode(a: QSymElem) -> QSymElem:
     """S(M_C) = (-1)^len(C) Mt_{reverse(C)}, returned in the M basis."""
-    image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in _m(a).terms.items()}
-    return to_basis(QSymElem._words("Mt", image), "M")
+    m = _m(a)
+    image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in m.nums.items()}
+    return to_basis(QSymElem._words("Mt", image, m.den), "M")
 
 
 def antipode_F(c) -> QSymElem:

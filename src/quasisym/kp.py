@@ -46,7 +46,8 @@ from functools import lru_cache
 
 from quasisym.composition import compositions_of, positive_index
 from quasisym.elements import (
-    QSymElem, bilinear, format_terms, linear, monomial, one, scale, scaled_terms, sum_terms,
+    QSymElem, bilinear, form_of, format_terms, linear, monomial, one, scale, scaled_terms,
+    sum_terms, terms_of,
 )
 from quasisym.products import bullet, mul
 
@@ -171,25 +172,26 @@ def h_in_p(n: int) -> dict:
 
 def p_product(x: dict, y: dict) -> dict:
     """The ordinary product of two power-sum maps: partitions merge."""
-    return bilinear(x, y, lambda a, b: (tuple(sorted(a + b, reverse=True)),))
+    return terms_of(*bilinear(form_of(x), form_of(y), lambda a, b: (
+        tuple(sorted(a + b, reverse=True)),)))
 
 
 def sigma(x: dict) -> dict:
     """c p_lambda -> -c phi_{t_lambda}: a {factors: coefficient} map whose key is
     one factor, the sorted derivative indices of phi."""
-    return linear(x, lambda lam: {(tuple(sorted(lam)),): -1})
+    return terms_of(*linear(form_of(x), lambda lam: {(tuple(sorted(lam)),): -1}))
 
 
 def sigma_bullet(f: dict, g: dict) -> dict:
     """sigma(a o b) = sigma(a) sigma(b): the factors concatenate, order kept."""
-    return bilinear(f, g, lambda a, b: (a + b,))
+    return terms_of(*bilinear(form_of(f), form_of(g), lambda a, b: (a + b,)))
 
 
 def sigma_times(n: int, f: dict) -> dict:
     """sigma(p_n a): the t_n-derivative of sigma(a), by Leibniz across the factors."""
     n = positive_index(n, "derivative index")
-    return linear(f, lambda fs: (
-        fs[:i] + (tuple(sorted(fs[i] + (n,))),) + fs[i + 1:] for i in range(len(fs))))
+    return terms_of(*linear(form_of(f), lambda fs: (
+        fs[:i] + (tuple(sorted(fs[i] + (n,))),) + fs[i + 1:] for i in range(len(fs)))))
 
 
 def _term_key(factors):

@@ -10,13 +10,14 @@ decides equality in QSym (lengths never exceed weights).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
 from quasisym._core import chain_monomials
 from quasisym.composition import positive_index
-from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, reduced
 
 
 class Polynomial(Sparse):
@@ -39,28 +40,34 @@ class Polynomial(Sparse):
     def _product(self, other):
         """Exponent vectors add.  Packed as the base-`base` digits of one int,
         with `base` above every exponent of the product, each pair of
-        monomials costs one int addition."""
+        monomials costs one int addition and one numerator product."""
         base = 1 + _top(self) + _top(other)
         powers = [base ** i for i in range(self.space)]
 
         def packed(p):
-            return {sum(map(mul, mono, powers)): c for mono, c in p.terms.items()}
+            return [(sum(map(mul, mono, powers)), c) for mono, c in p.nums.items()]
 
-        sums = bilinear(packed(self), packed(other), lambda u, v: (u + v,))
+        right = packed(other)
+        acc = defaultdict(int)
+        for u, x in packed(self):
+            for v, y in right:
+                acc[u + v] += x * y
+        nums, den = reduced(acc, self.den * other.den)
         out = {}
-        for v, c in sums.items():
+        for v, c in nums.items():
             mono = []
             for _ in powers:
                 v, e = divmod(v, base)
                 mono.append(e)
             out[tuple(mono)] = c
-        return self._raw(self.space, out)
+        return self._raw(self.space, out, den)
 
     def set_last_to_zero(self) -> "Polynomial":
         """The polynomial with its last variable 0, over one variable fewer;
         for a `QssPoly` that is y_N = 0, and the result is a plain `Polynomial`."""
         n = positive_index(self.space - 1, "variable count", least=0)
-        return Polynomial._raw(n, {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0})
+        return Polynomial._raw(n, *reduced(
+            {m[:-1]: c for m, c in self.nums.items() if m[-1] == 0}, self.den))
 
     @staticmethod
     def _order(mono):
@@ -88,7 +95,7 @@ def monomial_text(**alphabets) -> str:
 
 def _top(p: Polynomial) -> int:
     """The largest exponent in p."""
-    return max((max(mono, default=0) for mono in p.terms), default=0)
+    return max((max(mono, default=0) for mono in p.nums), default=0)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -98,7 +105,7 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 def poly_equal(p: Polynomial, q: Polynomial) -> bool:
     if p.n != q.n:
         raise ValueError(f"variable counts differ: {p.n} vs {q.n}")
-    return p.terms == q.terms
+    return p.form == q.form
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +123,7 @@ def _expand_basis(basis: str, n: int, comp: tuple) -> tuple:
 def expand(a: QSymElem, n: int) -> Polynomial:
     """Evaluate a in n variables straight from its basis's summation formula."""
     image = partial(_expand_basis, a.basis, positive_index(n, "variable count"))
-    return Polynomial._raw(n, linear(a.terms, image))
+    return Polynomial._raw(n, *linear(a.form, image))
 
 
 def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> tuple:
@@ -135,7 +142,7 @@ def expand_bullet(k: int, a: QSymElem, b: QSymElem, n: int, hat: bool = False) -
     """Evaluate a o_k b (or a o^_k b) by its defining chained summation."""
     k, n = positive_index(k, "product index"), positive_index(n, "variable count")
     image = partial(_bullet_chain, k, n, hat)
-    return Polynomial._raw(n, bilinear(_m(a).terms, _m(b).terms, image))
+    return Polynomial._raw(n, *bilinear(_m(a).form, _m(b).form, image))
 
 
 def certify_equal(a: QSymElem, b: QSymElem) -> bool:

@@ -28,13 +28,14 @@ from quasisym.elements import QSymElem, _m, bilinear, monomial, one
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Ordinary (quasi-shuffle) product; commutative and associative."""
-    return QSymElem._words("M", bilinear(_parts(a), _parts(b), quasi_shuffle))
+    return QSymElem._words("M", *bilinear(_parts(a), _parts(b), quasi_shuffle))
 
 
-def _parts(a: QSymElem) -> dict:
-    """M-basis terms keyed by plain part tuples, as the kernel takes them: on a
-    Composition its recursion would build checked Compositions through __radd__."""
-    return {tuple(c): v for c, v in _m(a).terms.items()}
+def _parts(a: QSymElem) -> tuple:
+    """The M-basis form keyed by plain part tuples, as the kernel takes them: on
+    a Composition its recursion would build checked Compositions through __radd__."""
+    m = _m(a)
+    return {tuple(c): v for c, v in m.nums.items()}, m.den
 
 
 def _bullet_words(k: int, A: tuple, B: tuple):
@@ -60,7 +61,7 @@ def _hat_words(k: int, A: tuple, B: tuple):
 
 def _bilinear(product_words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     image = partial(product_words, positive_index(k, "product index"))
-    return QSymElem._words("M", bilinear(_m(a).terms, _m(b).terms, image))
+    return QSymElem._words("M", *bilinear(_m(a).form, _m(b).form, image))
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -90,7 +91,8 @@ def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
 
 def reverse_map(a: QSymElem) -> QSymElem:
     """Linear extension of M_C -> M_{reverse(C)}."""
-    return QSymElem._words("M", {c[::-1]: v for c, v in _m(a).terms.items()})
+    m = _m(a)
+    return QSymElem._words("M", {c[::-1]: v for c, v in m.nums.items()}, m.den)
 
 
 # -- closed forms on the Mt and F bases -----------------------------------

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cache, partial
 from operator import add
 
-from quasisym.composition import Composition, compositions_of, positive_index
-from quasisym.elements import bilinear, linear, stored
+from quasisym.composition import Composition, compositions_of, enumerate_compositions, positive_index
+from quasisym.elements import bilinear, linear, reduced
 from quasisym.oracle import Polynomial, exponent_vector, monomial_text
 
 
@@ -76,7 +76,7 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
     """
     image = partial(_bullet_image, positive_index(k, "product index"), a.n)
     a._align(b)
-    return QssPoly._raw(a.space, bilinear(a.terms, b.terms, image))
+    return QssPoly._raw(a.space, *bilinear(a.form, b.form, image))
 
 
 def qss_p(r: int, n: int) -> QssPoly:
@@ -123,7 +123,15 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
             rest = list(key)
             rest[i] = rest[n + i] = 0
             yield key[i] + key[n + i], tuple(rest)
-    return not linear(a.terms, by_degree)
+    return not linear(a.form, by_degree)[0]
+
+
+def cancel_cases(max_weight: int, n: int):
+    """t-substitution independence of the generated elements, all indices."""
+    for c in enumerate_compositions(max_weight):
+        a = qss_M(c, n)
+        for i in range(n):
+            yield (f"x_{i+1}=y_{i+1}=t on M{c!r}", t_substitution_check(a, i))
 
 
 def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
@@ -155,7 +163,7 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
                     add_products(i, j, k, 0, 1)
                 if j < k:
                     add_products(i, j, k, n, -1)
-    return QssPoly._raw(2 * n, stored(acc))
+    return QssPoly._raw(2 * n, *reduced(acc))
 
 
 def set_y_zero_x_vector(a: QssPoly):

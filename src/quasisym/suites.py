@@ -44,13 +44,7 @@ from quasisym.products import (
     hat_bullet,
     mul,
 )
-from quasisym.qss import (
-    closure_probe,
-    qss_kp_check,
-    qss_M,
-    set_y_zero_x_vector,
-    t_substitution_check,
-)
+from quasisym.qss import cancel_cases, closure_probe, qss_kp_check, qss_M, set_y_zero_x_vector
 
 
 class Residual:
@@ -286,10 +280,7 @@ def suite_qss_kp(max_n: int = 4):
 
 def suite_qss_cancel(max_weight: int = 4, nvars: int = 4):
     """t-substitution independence of the generated elements, all indices."""
-    for c in enumerate_compositions(max_weight):
-        a = qss_M(c, nvars)
-        for i in range(nvars):
-            yield (f"x_{i+1}=y_{i+1}=t on M{c!r}", t_substitution_check(a, i))
+    yield from cancel_cases(max_weight, nvars)
 
 
 def suite_qss_y_zero(max_weight: int = 4, nvars: int = 4):

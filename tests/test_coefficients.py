@@ -66,6 +66,28 @@ def test_integral_coefficients_are_stored_as_int():
     assert set(halves.terms.values()) == {half}
 
 
+def test_terms_are_a_read_only_view():
+    """complete_h is cached, so a write through .terms would change every later h_2."""
+    with pytest.raises(TypeError):
+        complete_h(2).terms[Composition((2,))] = 5
+    assert repr(complete_h(2)) == "M[2] + M[1,1]"
+    for e in (QSymElem("M", {(1,): Fraction(1, 2)}), coproduct(complete_h(2)),
+              expand(complete_h(2), 2), qss_p(1, 2)):
+        key = next(iter(e.terms))
+        with pytest.raises(TypeError):
+            e.terms[key] = 7
+        with pytest.raises(TypeError):
+            del e.terms[key]
+
+
+def test_equality_is_on_the_canonical_form():
+    assert QSymElem("M", {(1,): Fraction(2, 4)}) == QSymElem("M", {(1,): Fraction(1, 2)})
+    e = QSymElem("M", {(1,): Fraction(2, 4), (2,): Fraction(1, 3)})
+    assert (e.nums, e.den) == ({(1,): 3, (2,): 2}, 6)
+    assert (e - e).form == ({}, 1)
+    assert (6 * e).form == ({(1,): 3, (2,): 2}, 1)
+
+
 def test_complete_h_is_the_flat_sum_with_int_coefficients():
     h = complete_h(7)
     assert len(h.terms) == 2 ** 6

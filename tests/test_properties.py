@@ -3,11 +3,13 @@
 Elements mix the M, Mt and F bases, carry coefficients with denominators,
 and some are sums that cancel.  Every operation is checked against the
 summation oracle (which never uses structure constants), against its
-scalar multiples, and for the stored coefficient form: nonzero, an int
-exactly when integral.  Seeds are derandomized, so runs are repeatable.
+scalar multiples, and for the stored form: nonzero int numerators over one
+denominator coprime to them all, shown by `.terms` as an int exactly when
+integral.  Seeds are derandomized, so runs are repeatable.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from quasisym.hopf import (
 )
 from quasisym.oracle import Polynomial, expand, expand_bullet
 from quasisym.products import bullet, hat_bullet, mul
+from quasisym.qss import QssPoly, qss_bullet
 
 # Oracle variables.  Expansions in N variables decide equality for
 # compositions of length <= N; elements here have weight <= 3, so products
@@ -48,10 +51,24 @@ def elements(draw):
 
 scalars = st.one_of(coefficients, st.integers(-3, 3))
 
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(
+    lambda terms: Polynomial(2, terms))
+qss_polynomials = st.dictionaries(st.tuples(exponents, exponents), coefficients, max_size=4).map(
+    lambda terms: QssPoly(2, terms))
 
-def assert_stored(terms):
-    for v in terms.values():
-        assert v != 0
+
+def assert_stored(e):
+    """e's form: nonzero int numerators over den >= 1 coprime to them all, den 1
+    exactly when every coefficient is integral; .terms shows nums / den, each
+    an int when integral and a Fraction otherwise."""
+    nums, den = e.nums, e.den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v != 0 for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert (den == 1) == all(v % den == 0 for v in nums.values())
+    assert e.terms == {k: Fraction(v, den) for k, v in nums.items()}
+    for v in e.terms.values():
         assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
@@ -70,8 +87,10 @@ def m_coefficients(a, n):
 @given(elements(), elements())
 def test_mul_matches_the_oracle(a, b):
     out = mul(a, b)
-    assert_stored(out.terms)
-    assert expand(out, N) == expand(a, N) * expand(b, N)
+    assert_stored(out)
+    product = expand(a, N) * expand(b, N)
+    assert_stored(product)
+    assert expand(out, N) == product
 
 
 @SETTINGS
@@ -79,8 +98,10 @@ def test_mul_matches_the_oracle(a, b):
 def test_bullet_and_hat_match_the_oracle(a, b, k):
     for product, hat in ((bullet, False), (hat_bullet, True)):
         out = product(k, a, b)
-        assert_stored(out.terms)
-        assert expand(out, N) == expand_bullet(k, a, b, N, hat=hat)
+        assert_stored(out)
+        direct = expand_bullet(k, a, b, N, hat=hat)
+        assert_stored(direct)
+        assert expand(out, N) == direct
 
 
 @SETTINGS
@@ -88,7 +109,8 @@ def test_bullet_and_hat_match_the_oracle(a, b, k):
 def test_to_basis_matches_the_oracle_and_round_trips(a, target):
     out = to_basis(a, target)
     assert out.basis == target
-    assert_stored(out.terms)
+    assert_stored(out)
+    assert_stored(expand(out, N))
     assert expand(out, N) == expand(a, N)
     assert to_basis(out, a.basis).terms == a.terms
 
@@ -99,7 +121,7 @@ def test_coproduct_is_evaluation_on_two_alphabets(a):
     """Delta(a)(x; y) = a(x_1, .., x_n, y_1, .., y_n)."""
     n = 2
     out = coproduct(a)
-    assert_stored(out.terms)
+    assert_stored(out)
     acc = {}
     for (left, right), coeff in out.terms.items():
         for ml, cl in expand(monomial("M", left), n).terms.items():
@@ -113,7 +135,7 @@ def test_coproduct_is_evaluation_on_two_alphabets(a):
 def test_antipode_matches_the_oracle(a):
     """S(M_C) = (-1)^len(C) Mt_reverse(C), with a's M coefficients from the oracle."""
     out = antipode(a)
-    assert_stored(out.terms)
+    assert_stored(out)
     image = QSymElem("Mt", {
         Composition(c[::-1]): (-1) ** len(c) * v for c, v in m_coefficients(a, 3).items()
     })
@@ -130,9 +152,27 @@ def test_bilinearity_with_denominators(a, b, c, r, s, k):
         assert to_basis(r * a + c, target) == r * to_basis(a, target) + to_basis(c, target)
     assert coproduct(r * a + c) == r * coproduct(a) + coproduct(c)
     assert antipode(r * a + c) == r * antipode(a) + antipode(c)
-    for e in (r * a, r * a + c, a - a):
-        assert_stored(e.terms)
-    assert not a - a
+    for e in (r * a, r * a + c, a - a, -a, coproduct(r * a) - coproduct(c)):
+        assert_stored(e)
+    assert not a - a and (a - a).den == 1
+
+
+@SETTINGS
+@given(polynomials, polynomials, scalars)
+def test_polynomials_keep_the_canonical_form(p, q, r):
+    assert (p + q) - q == p
+    assert not p - p and (p - p).den == 1
+    for e in (p + q, p - q, r * p, p * q, (p * q).set_last_to_zero()):
+        assert_stored(e)
+
+
+@SETTINGS
+@given(qss_polynomials, qss_polynomials, scalars, st.integers(1, 2))
+def test_two_alphabet_polynomials_keep_the_canonical_form(p, q, r, k):
+    assert (p + q) - q == p
+    assert not p - p and (p - p).den == 1
+    for e in (p + q, r * p, p * q, qss_bullet(k, p, q)):
+        assert_stored(e)
 
 
 # -- operator laws on general elements ---------------------------------------
@@ -141,15 +181,19 @@ def test_bilinearity_with_denominators(a, b, c, r, s, k):
 @given(elements(), elements(), st.integers(1, 2))
 def test_coproduct_is_a_derivation_of_bullet(a, b, n):
     """Delta(a o_n b) = Delta(a) o_n b + a o_n Delta(b)."""
-    lhs = coproduct(bullet(n, a, b))
-    assert lhs == tensor_bullet_right(coproduct(a), n, b) + tensor_bullet_left(a, n, coproduct(b))
+    right, left = tensor_bullet_right(coproduct(a), n, b), tensor_bullet_left(a, n, coproduct(b))
+    assert_stored(right)
+    assert_stored(left)
+    assert coproduct(bullet(n, a, b)) == right + left
 
 
 @SETTINGS
 @given(elements())
 def test_antipode_axioms(a):
     target = counit(a) * one()
-    assert antipode_axiom_left(a) == target
+    left = antipode_axiom_left(a)
+    assert_stored(left)
+    assert left == target
     assert antipode_axiom_right(a) == target
 
 
@@ -164,4 +208,7 @@ def test_antipode_reverses_bullet(a, b, n):
 @given(elements(), elements(), elements(), st.integers(1, 2))
 def test_distributivity(a, b, c, m):
     """c (a o_m b) = m_m(Delta(c) (a (x) b))."""
-    assert mul(c, bullet(m, a, b)) == m_k(m, tensor_mul(coproduct(c), tensor_of(a, b)))
+    spread = tensor_mul(coproduct(c), tensor_of(a, b))
+    for e in (tensor_of(a, b), spread, m_k(m, spread)):
+        assert_stored(e)
+    assert mul(c, bullet(m, a, b)) == m_k(m, spread)

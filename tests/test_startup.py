@@ -110,7 +110,7 @@ def test_basis_expression_loads_only_the_algebra():
     assert not loaded & {"quasisym.kp", "quasisym.hopf", "quasisym.oracle"}
 
 
-@pytest.mark.parametrize("suite", ["kp", "closure"])
+@pytest.mark.parametrize("suite", ["kp", "closure", "cancel"])
 def test_qss_verify_loads_only_the_two_alphabet_module(suite):
     loaded = loaded_by("qss-verify", "--N", "2", "--suite", suite)
     assert "quasisym.qss" in loaded
