@@ -6,10 +6,29 @@ a chained-inequality summation over a finite alphabet.
 
 Results are cached and shared.  ``chain_monomials`` returns a tuple, so
 its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
-must be treated as read-only.
+must be treated as read-only.  The quasi-shuffle product is commutative:
+a call with b < a forwards to (b, a), so one dict serves both orders.  Its
+keys come from ``WORDS``, which holds one shared `Composition` per word;
+callers key their results by them without a copy.  The table lives as
+long as the kernel cache: ``clear_caches`` empties both caches and the
+table, and ``WORDS.cache_clear`` lets a scan for caches find the table.
 """
 
 from functools import lru_cache
+
+from quasisym.composition import Composition
+
+
+class _WordTable(dict):
+    def __missing__(self, word):
+        # kernel words are valid by construction: no part check
+        comp = self[word] = tuple.__new__(Composition, word)
+        return comp
+
+
+WORDS = _WordTable()
+# on the instance: a scan for cache_clear also finds a class attribute and calls it unbound
+WORDS.cache_clear = WORDS.clear
 
 
 @lru_cache(maxsize=None)
@@ -19,15 +38,22 @@ def quasi_shuffle(a: tuple, b: tuple) -> dict:
     Each word interleaves a and b keeping their internal orders, with any
     number of cross pairs merged by addition.
     """
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
-    out = {}
-    for head, ta, tb in ((a[0], a[1:], b), (b[0], a, b[1:]), (a[0] + b[0], a[1:], b[1:])):
-        for comp, mult in quasi_shuffle(ta, tb).items():
-            key = (head,) + comp
-            out[key] = out.get(key, 0) + mult
+    if b < a:
+        return quasi_shuffle(b, a)
+    word = WORDS
+    if not a:  # () sorts first
+        return {word[b]: 1}
+    a0, ta, b0, tb = a[0], a[1:], b[0], b[1:]
+    # words are built by unpacking: (a0,) + w would go through
+    # Composition.__radd__ and check every part again
+    out = {word[(a0, *w)]: m for w, m in quasi_shuffle(ta, b).items()}
+    if a0 == b0:  # the only case in which two branches share keys
+        for w, m in quasi_shuffle(a, tb).items():
+            key = word[(b0, *w)]
+            out[key] = out.get(key, 0) + m
+    else:
+        out.update({word[(b0, *w)]: m for w, m in quasi_shuffle(a, tb).items()})
+    out.update({word[(a0 + b0, *w)]: m for w, m in quasi_shuffle(ta, tb).items()})
     return out
 
 
@@ -68,5 +94,7 @@ def chain_monomials(exps: tuple, strict: tuple, n: int) -> tuple:
 
 
 def clear_caches():
+    """Empty both kernel caches and the word table."""
     quasi_shuffle.cache_clear()
     chain_monomials.cache_clear()
+    WORDS.clear()

@@ -4,8 +4,9 @@ Every object in the package — a QSym element, a tensor, a polynomial of
 the oracle or of the two-alphabet extension — is a finitely supported map
 from keys to nonzero rationals.  `Sparse` stores it as `nums`, a map from
 key to nonzero int, over one `den >= 1` coprime to every numerator, so `==`
-compares one int map and one int; `.terms` is the read-only view built on
-first read, each coefficient an int when integral and a Fraction otherwise.
+compares one int map and one int; `.terms` is a read-only view of that
+form which works each coefficient out when it is read: an int when
+integral and a Fraction otherwise, kept nowhere.
 `Sparse` also holds a space tag (the basis, the variable count, or none)
 and owns the linear structure and the printing; subclasses supply the key
 check, how two spaces meet, their product, the term order and the atom
@@ -28,6 +29,7 @@ and the inverse directions carry the sign (-1)^(length difference).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
@@ -155,6 +157,37 @@ def format_terms(pairs) -> str:
 
 # -- the sparse core -------------------------------------------------------
 
+class _Quotients(Mapping):
+    """The read-only {key: num / den} view of a form with den > 1.
+
+    A coefficient is built when it is read, so a large element keeps no
+    Fraction per term; two views compare by their forms.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, key):
+        v = self._nums[key]
+        return Fraction(v, self._den) if v % self._den else v // self._den
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __eq__(self, other):
+        if type(other) is _Quotients:
+            return self._den == other._den and self._nums == other._nums
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class Sparse:
     """An immutable finitely supported linear combination over a space.
 
@@ -168,7 +201,7 @@ class Sparse:
     multiplies with one.
     """
 
-    __slots__ = ("space", "nums", "den", "_view")
+    __slots__ = ("space", "nums", "den")
 
     def __init__(self, space, terms=None):
         _set_space(self, space)  # the key check may read it
@@ -198,11 +231,9 @@ class Sparse:
     @property
     def terms(self):
         """The read-only {key: coefficient} view: an int when integral, else a Fraction."""
-        try:
-            return self._view
-        except AttributeError:
-            _set_view(self, MappingProxyType(terms_of(self.nums, self.den)))
-            return self._view
+        if self.den == 1:
+            return MappingProxyType(self.nums)
+        return _Quotients(self.nums, self.den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -253,8 +284,6 @@ class Sparse:
                 return False
         return self.den == other.den and self.nums == other.nums
 
-    __hash__ = None
-
     def __bool__(self):
         return bool(self.nums)
 
@@ -271,7 +300,7 @@ class Sparse:
 
 
 # the slots' own setters: __setattr__ refuses every write
-_set_space, _set_nums, _set_den, _set_view = (
+_set_space, _set_nums, _set_den = (
     Sparse.__dict__[name].__set__ for name in Sparse.__slots__)
 
 

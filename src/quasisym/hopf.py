@@ -79,9 +79,8 @@ def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
 def _leg_products(ab, cd) -> dict:
     """(a (x) b)(c (x) d) = ac (x) bd on basis tensors, through the kernel."""
     (a, b), (c, d) = ab, cd
-    right = quasi_shuffle(tuple(b), tuple(d)).items()
-    return {(lw, rw): lm * rm
-            for lw, lm in quasi_shuffle(tuple(a), tuple(c)).items() for rw, rm in right}
+    right = quasi_shuffle(b, d).items()
+    return {(lw, rw): lm * rm for lw, lm in quasi_shuffle(a, c).items() for rw, rm in right}
 
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:

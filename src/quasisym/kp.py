@@ -46,8 +46,8 @@ from functools import lru_cache
 
 from quasisym.composition import compositions_of, positive_index
 from quasisym.elements import (
-    QSymElem, bilinear, form_of, format_terms, linear, monomial, one, scale, scaled_terms,
-    sum_terms, terms_of,
+    QSymElem, bilinear, form_of, format_terms, linear, monomial, one, scale, scaled,
+    scaled_terms, sum_forms, sum_terms, terms_of,
 )
 from quasisym.products import bullet, mul
 
@@ -132,12 +132,10 @@ def kp_identity(m: int, n: int):
     """Both sides of the (m, n) identity; their difference is 0 in QSym."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     lhs = h_product(m, n + 1) - h_product(m + 1, n)
-    rhs = QSymElem("M", {})
-    for k in range(1, m + 1):
-        rhs = rhs + bullet(1, complete_h(k), h_product(m - k, n))
-    for k in range(1, n + 1):
-        rhs = rhs - bullet(1, complete_h(k), h_product(n - k, m))
-    return lhs, rhs
+    rhs = sum_forms(
+        *(bullet(1, complete_h(k), h_product(m - k, n)).form for k in range(1, m + 1)),
+        *(scaled(-1, bullet(1, complete_h(k), h_product(n - k, m)).form) for k in range(1, n + 1)))
+    return lhs, QSymElem._raw("M", *rhs)
 
 
 def kp_classical_identity():

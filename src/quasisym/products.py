@@ -28,14 +28,7 @@ from quasisym.elements import QSymElem, _m, bilinear, monomial, one
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Ordinary (quasi-shuffle) product; commutative and associative."""
-    return QSymElem._words("M", *bilinear(_parts(a), _parts(b), quasi_shuffle))
-
-
-def _parts(a: QSymElem) -> tuple:
-    """The M-basis form keyed by plain part tuples, as the kernel takes them: on
-    a Composition its recursion would build checked Compositions through __radd__."""
-    m = _m(a)
-    return {tuple(c): v for c, v in m.nums.items()}, m.den
+    return QSymElem._raw("M", *bilinear(_m(a).form, _m(b).form, quasi_shuffle))
 
 
 def _bullet_words(k: int, A: tuple, B: tuple):

@@ -14,7 +14,9 @@ from functools import lru_cache, partial, reduce
 from itertools import product
 
 from quasisym.composition import Composition, enumerate_compositions, positive_index
-from quasisym.elements import QSymElem, counit, format_terms, monomial, one, scale, to_basis
+from quasisym.elements import (
+    QSymElem, counit, format_terms, monomial, one, scale, scaled, sum_forms, to_basis,
+)
 from quasisym.hopf import (
     antipode,
     antipode_axiom_left,
@@ -231,9 +233,10 @@ def certify_kp(m: int, n: int, nvars: int) -> bool:
     h = complete_h
     e = lambda q: expand(q, nvars)
     lhs = poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))
-    first = (expand_bullet(1, h(k), h_product(m - k, n), nvars) for k in range(1, m + 1))
-    second = (expand_bullet(1, h(k), h_product(n - k, m), nvars) for k in range(1, n + 1))
-    return lhs == sum(first, Polynomial(nvars)) - sum(second, Polynomial(nvars))
+    first = (expand_bullet(1, h(k), h_product(m - k, n), nvars).form for k in range(1, m + 1))
+    second = (scaled(-1, expand_bullet(1, h(k), h_product(n - k, m), nvars).form)
+              for k in range(1, n + 1))
+    return lhs == Polynomial._raw(nvars, *sum_forms(*first, *second))
 
 
 def suite_kp_classical(certify_nvars: int = 4):

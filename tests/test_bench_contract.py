@@ -3,10 +3,11 @@
 perfbench/tracing.py wraps public functions at every module binding,
 counts QSymElem and Composition constructions and reads the kernel
 caches' statistics; perfbench/workloads.py computes in process the
-stdout it expects from each `cli` command.  The test suite does not run
-the benchmark, so these tests load both files by path and drive them: a
-refactor that breaks the benchmark harness fails here, not as failed
-operations in a benchmark run.
+stdout it expects from each `cli` command, and before each pass empties
+every package attribute that has a `cache_clear`.  The test suite does
+not run the benchmark, so these tests load both files by path and drive
+them: a refactor that breaks the benchmark harness fails here, not as
+failed operations in a benchmark run.
 """
 
 import importlib.util
@@ -85,3 +86,17 @@ def test_tracer_counts_calls_and_restores_every_name():
     assert oracle.expand is originals["expand"]
     assert products.quasi_shuffle is originals["quasi_shuffle"] is _core.quasi_shuffle
     assert QSymElem.__dict__["__init__"] is originals["init"]
+
+
+def test_benchmark_clear_caches_empties_the_kernel_caches_and_word_table(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load("workloads")
+    a = QSymElem("F", {(1, 2): 3, (2,): 1})
+    for _ in range(2):  # the second call reuses the caches the first one found
+        products.mul(a, a)
+        _core.chain_monomials((1, 2), (True,), 3)
+        assert _core.WORDS
+        workloads.clear_caches()
+        assert _core.quasi_shuffle.cache_info().currsize == 0
+        assert _core.chain_monomials.cache_info().currsize == 0
+        assert not _core.WORDS

@@ -80,6 +80,21 @@ def test_terms_are_a_read_only_view():
             del e.terms[key]
 
 
+def test_fractional_terms_are_worked_out_on_read():
+    """Over den > 1, .terms keeps no coefficient: each read gives the reduced
+    value, and two views compare as the maps they show."""
+    e = QSymElem("M", {(1,): Fraction(1, 2), (2,): 3, (1, 1): Fraction(-4, 6)})
+    assert e.den == 6
+    assert dict(e.terms) == {(1,): Fraction(1, 2), (2,): 3, (1, 1): Fraction(-2, 3)}
+    assert type(e.terms[(2,)]) is int and e.terms.get((3,)) is None
+    assert (1, 1) in e.terms and len(e.terms) == 3 and list(e.terms) == list(e.nums)
+    assert e.terms == dict(e.terms) == e.terms and dict(e.terms) == e.terms
+    assert e.terms != QSymElem("M", {(1,): Fraction(1, 2)}).terms
+    assert (e + e).terms != e.terms and (e + e).terms == {k: 2 * v for k, v in e.terms.items()}
+    with pytest.raises(TypeError):
+        hash(e.terms)
+
+
 def test_equality_is_on_the_canonical_form():
     assert QSymElem("M", {(1,): Fraction(2, 4)}) == QSymElem("M", {(1,): Fraction(1, 2)})
     e = QSymElem("M", {(1,): Fraction(2, 4), (2,): Fraction(1, 3)})

@@ -1,8 +1,14 @@
-"""The two kernels on small inputs, checked by hand."""
+"""The two kernels on small inputs, checked by hand, and the quasi-shuffle
+kernel against a brute-force enumeration on random part tuples."""
+
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisym import _core
+from quasisym.composition import Composition
 from quasisym.elements import monomial
 from quasisym.oracle import _expand_basis, expand
 
@@ -45,3 +51,51 @@ def test_cached_chain_monomials_cannot_be_corrupted():
     finally:
         _core.clear_caches()
         _expand_basis.cache_clear()
+
+
+def test_clear_caches_empties_the_word_table():
+    _core.quasi_shuffle((1, 2), (2,))
+    assert _core.WORDS
+    _core.clear_caches()
+    assert not _core.WORDS
+    assert _core.quasi_shuffle.cache_info().currsize == 0
+
+
+def reference_quasi_shuffle(a: tuple, b: tuple) -> dict:
+    """Words of a and b by placement: a word of length L puts the parts of a
+    and of b at increasing positions, the two position sets covering 0..L-1;
+    a position holding one part of each is a merge."""
+    out = Counter()
+    for length in range(max(len(a), len(b)), len(a) + len(b) + 1):
+        for at_a in combinations(range(length), len(a)):
+            for at_b in combinations(range(length), len(b)):
+                if len(set(at_a) | set(at_b)) < length:
+                    continue
+                word = [0] * length
+                for i, part in zip(at_a, a):
+                    word[i] += part
+                for i, part in zip(at_b, b):
+                    word[i] += part
+                out[tuple(word)] += 1
+    return dict(out)
+
+
+def test_reference_quasi_shuffle_by_hand():
+    assert reference_quasi_shuffle((), ()) == {(): 1}
+    assert reference_quasi_shuffle((1,), (1,)) == {(1, 1): 2, (2,): 1}
+
+
+part_tuples = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(part_tuples, part_tuples, part_tuples, part_tuples)
+def test_quasi_shuffle_against_brute_force_and_its_shared_words(a, b, c, d):
+    table = _core.quasi_shuffle(a, b)
+    assert table == reference_quasi_shuffle(a, b)
+    assert _core.quasi_shuffle(b, a) is table  # one dict per unordered pair
+    assert all(type(w) is Composition for w in table)
+    other = {w: w for w in _core.quasi_shuffle(c, d)}
+    for w in table:
+        assert other.get(w, w) is w  # an equal word is the same object
+        assert _core.WORDS[w] is w
