@@ -1,7 +1,8 @@
 """Sparse exact-rational linear combinations, and the elements of QSym.
 
 Every object in the package — a QSym element, a tensor, a polynomial of
-the oracle or of the two-alphabet extension — is a finitely supported map
+the oracle or of the two-alphabet extension, a `PowerSums` map or `Sigma`
+image of the KP renderer — is a finitely supported map
 from keys to nonzero rationals.  `Sparse` stores it as `nums`, a map from
 key to nonzero int, over one `den >= 1` coprime to every numerator, so `==`
 compares one int map and one int; `.terms` is a read-only view of that
@@ -75,14 +76,6 @@ def reduced(acc: dict, den: int = 1) -> tuple:
     return {k: v // g for k, v in nums.items()}, den // g
 
 
-def terms_of(nums: dict, den: int) -> dict:
-    """The coefficient map of a form: ints where integral, else Fractions
-    (nums itself when den is 1)."""
-    if den == 1:
-        return nums
-    return {k: Fraction(v, den) if v % den else v // den for k, v in nums.items()}
-
-
 def sum_forms(*forms) -> tuple:
     """The form of the key-wise sum of forms."""
     den = lcm(*[d for _, d in forms])
@@ -99,16 +92,6 @@ def scaled(r, form) -> tuple:
     r = coefficient(r)
     nums, den = form
     return reduced({k: v * r.numerator for k, v in nums.items()}, den * r.denominator)
-
-
-def sum_terms(*maps) -> dict:
-    """The key-wise sum of coefficient maps."""
-    return terms_of(*sum_forms(*map(form_of, maps)))
-
-
-def scaled_terms(r, terms: dict) -> dict:
-    """r times every coefficient of a map."""
-    return terms_of(*scaled(r, form_of(terms)))
 
 
 def bilinear(left, right, image) -> tuple:
@@ -209,7 +192,12 @@ class Sparse:
         for key, coeff in (terms or {}).items():
             coeff = coefficient(coeff)
             if coeff:
-                clean[self._key(key)] = coeff
+                key = self._key(key)
+                if key in clean:  # two keys that check to one add up
+                    coeff += clean.pop(key)
+                    if not coeff:
+                        continue
+                clean[key] = coeff
         nums, den = form_of(clean)
         _set_nums(self, nums)
         _set_den(self, den)

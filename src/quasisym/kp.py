@@ -13,10 +13,10 @@ through the map sigma sending p_n to -phi_{t_n}, products of power sums
 to mixed t-derivatives and o-products to noncommutative juxtaposition, the
 (1,2) member becomes the noncommutative KP equation.
 
-Sigma is built from sparse coefficient maps: a symmetric function is a
-{partition: coefficient} map over the power sums (`p_leaf`, `h_in_p`,
-`p_product`), and its image is a {factors: coefficient} map, each factor
-the sorted t-indices of one phi (`sigma`, `sigma_bullet`, `sigma_times`).
+Sigma works on two `Sparse` classes: `PowerSums`, a symmetric function
+over the power sums keyed by partitions (`p_leaf`, `h_in_p`; `*` merges
+the partitions), and `Sigma`, its image keyed by tuples of factors, each
+the sorted t-indices of one phi (`sigma`, `sigma_times`; `*` juxtaposes).
 Sigma follows how an identity is written, term by term, and never its
 value in QSym: lhs - rhs is 0 in QSym, yet its sigma image is the
 hierarchy equation, so two ways of writing one element can render
@@ -44,10 +44,9 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 
-from quasisym.composition import compositions_of, positive_index
+from quasisym.composition import Composition, canonical_key, compositions_of, positive_index
 from quasisym.elements import (
-    QSymElem, bilinear, form_of, format_terms, linear, monomial, one, scale, scaled,
-    scaled_terms, sum_forms, sum_terms, terms_of,
+    QSymElem, Sparse, bilinear, linear, monomial, one, scale, scaled, sum_forms,
 )
 from quasisym.products import bullet, mul
 
@@ -57,9 +56,8 @@ def power_sum(n: int) -> QSymElem:
     return monomial("M", (positive_index(n, "power sum index"),))
 
 
-@lru_cache(maxsize=None, typed=True)
 def complete_h(n: int) -> QSymElem:
-    """h_n, the sum of M_C over all compositions C of n."""
+    """h_n, the sum of M_C over all compositions C of n; a new element each call."""
     n = positive_index(n, "complete homogeneous index", least=0)
     return QSymElem._raw("M", dict.fromkeys(compositions_of(n), 1))
 
@@ -94,11 +92,9 @@ def h_product(m: int, n: int) -> QSymElem:
 
 
 def partitions_of(n: int) -> list:
-    """Partitions of n as weakly decreasing compositions, sorted canonically."""
+    """Partitions of n as weakly decreasing compositions, in lexicographic order."""
     return sorted(
-        (c for c in compositions_of(n) if all(c[i] >= c[i + 1] for i in range(len(c) - 1))),
-        key=lambda c: tuple(c),
-    )
+        c for c in compositions_of(n) if all(c[i] >= c[i + 1] for i in range(len(c) - 1)))
 
 
 def elementary_schur(n: int) -> dict:
@@ -149,90 +145,104 @@ def kp_classical_identity():
 
 # -- sigma: rendering identities as hierarchy equations --------------------
 
-def p_leaf(coeff, parts) -> dict:
-    """coeff * p_lambda as a one-term {partition: coefficient} map; lambda is
-    the nonempty multiset of parts (sigma is undefined on constants)."""
-    if not parts:
-        raise ValueError("sigma is undefined on constants: partition must be nonempty")
-    for p in parts:
-        positive_index(p, "partition part")
-    return scaled_terms(coeff, {tuple(sorted(parts, reverse=True)): 1})
+class PowerSums(Sparse):
+    """A symmetric function over the power sums: keys are partitions, each a
+    nonempty weakly decreasing tuple of parts (sigma is undefined on constants)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        Sparse.__init__(self, None, terms)
+
+    @staticmethod
+    def _key(parts) -> tuple:
+        if not parts:
+            raise ValueError("sigma is undefined on constants: partition must be nonempty")
+        return tuple(sorted((positive_index(p, "partition part") for p in parts), reverse=True))
+
+    def _product(self, other):  # the ordinary product: partitions merge
+        return self._raw(None, *bilinear(self.form, other.form, lambda a, b: (
+            tuple(sorted(a + b, reverse=True)),)))
+
+    _order = staticmethod(canonical_key)
+    _atom = staticmethod(lambda lam: f"p{Composition(lam)!r}")
 
 
-def h_in_p(n: int) -> dict:
+class Sigma(Sparse):
+    """A sigma image: each key is a tuple of factors, each factor the sorted
+    t-indices of one phi; the product juxtaposes, order kept."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        Sparse.__init__(self, None, terms)
+
+    @staticmethod
+    def _key(factors) -> tuple:
+        return tuple(PowerSums._key(f)[::-1] for f in factors)
+
+    def _product(self, other):
+        return self._raw(None, *bilinear(self.form, other.form, lambda a, b: (a + b,)))
+
+    @staticmethod
+    def _order(factors):
+        return len(factors), tuple((len(f), f) for f in factors)
+
+    @staticmethod
+    def _atom(factors) -> str:
+        return "*".join("phi_{" + ",".join(f"t{i}" for i in f) + "}" for f in factors) or "1"
+
+
+def p_leaf(coeff, parts) -> PowerSums:
+    """coeff * p_lambda, lambda the nonempty multiset of parts."""
+    return PowerSums({tuple(parts): coeff})
+
+
+def h_in_p(n: int) -> PowerSums:
     """h_n over the power sums: p_lambda with coefficient 1 / z_lambda.
 
     n >= 1: h_0 has nonzero counit, so it appears only inside ordinary products.
     """
     schur = elementary_schur(positive_index(n, "power-sum expansion index"))
-    return sum_terms(*(p_leaf(coeff / math.prod(lam), lam) for lam, coeff in schur.items()))
+    return PowerSums({lam: coeff / math.prod(lam) for lam, coeff in schur.items()})
 
 
-def p_product(x: dict, y: dict) -> dict:
-    """The ordinary product of two power-sum maps: partitions merge."""
-    return terms_of(*bilinear(form_of(x), form_of(y), lambda a, b: (
-        tuple(sorted(a + b, reverse=True)),)))
+def sigma(x: PowerSums) -> Sigma:
+    """c p_lambda -> -c phi_{t_lambda}: one factor, the parts in increasing order."""
+    return Sigma._raw(None, {(lam[::-1],): -v for lam, v in x.nums.items()}, x.den)
 
 
-def sigma(x: dict) -> dict:
-    """c p_lambda -> -c phi_{t_lambda}: a {factors: coefficient} map whose key is
-    one factor, the sorted derivative indices of phi."""
-    return terms_of(*linear(form_of(x), lambda lam: {(tuple(sorted(lam)),): -1}))
-
-
-def sigma_bullet(f: dict, g: dict) -> dict:
-    """sigma(a o b) = sigma(a) sigma(b): the factors concatenate, order kept."""
-    return terms_of(*bilinear(form_of(f), form_of(g), lambda a, b: (a + b,)))
-
-
-def sigma_times(n: int, f: dict) -> dict:
+def sigma_times(n: int, f: Sigma) -> Sigma:
     """sigma(p_n a): the t_n-derivative of sigma(a), by Leibniz across the factors."""
     n = positive_index(n, "derivative index")
-    return terms_of(*linear(form_of(f), lambda fs: (
+    return Sigma._raw(None, *linear(f.form, lambda fs: (
         fs[:i] + (tuple(sorted(fs[i] + (n,))),) + fs[i + 1:] for i in range(len(fs)))))
 
 
-def _term_key(factors):
-    return (len(factors), tuple((len(f), f) for f in factors))
+def sigma_render(image: Sigma, normalize: bool = False) -> str:
+    """Deterministic text of a sigma image; with normalize, of its numerators
+    alone, signed so that the first term is positive."""
+    if normalize and image:
+        first = image.nums[min(image.nums, key=Sigma._order)]
+        image = (image.den if first > 0 else -image.den) * image
+    return repr(image)
 
 
-def sigma_render(terms: dict, normalize: bool = False) -> str:
-    """Deterministic text of a sigma image, terms in `_term_key` order.
-
-    With normalize the whole expression is scaled by the least common
-    denominator, with the sign that makes the first term positive.
-    """
-    order = sorted(terms, key=_term_key)
-    factor = 1
-    if normalize and order:
-        factor = math.lcm(*(terms[f].denominator for f in order))
-        if terms[order[0]] < 0:
-            factor = -factor
-    def phi(f):
-        return "phi_{" + ",".join(f"t{i}" for i in f) + "}"
-    return format_terms((terms[f] * factor, "*".join(map(phi, f))) for f in order)
-
-
-def kp_sigma(m: int, n: int) -> dict:
+def kp_sigma(m: int, n: int) -> Sigma:
     """sigma of the (m, n) identity's lhs - rhs, written in its h-form."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
 
-    def h_h(a: int, b: int) -> dict:  # h_a h_b, with h_0 = 1
-        return p_product(h_in_p(a), h_in_p(b)) if a else h_in_p(b)
+    def h_h(a: int, b: int) -> PowerSums:  # h_a h_b, with h_0 = 1
+        return h_in_p(a) * h_in_p(b) if a else h_in_p(b)
 
-    def bullets(a: int, b: int) -> list:  # h_k o (h_{a-k} h_b) for k = 1..a
-        return [sigma_bullet(sigma(h_in_p(k)), sigma(h_h(a - k, b))) for k in range(1, a + 1)]
+    def bullets(a: int, b: int) -> Sigma:  # the sum of h_k o (h_{a-k} h_b) for k = 1..a
+        return sum((sigma(h_in_p(k)) * sigma(h_h(a - k, b)) for k in range(1, a + 1)), Sigma())
 
-    lhs = sum_terms(h_h(m, n + 1), scaled_terms(-1, h_h(m + 1, n)))
-    return sum_terms(sigma(lhs), scaled_terms(-1, sum_terms(*bullets(m, n))), *bullets(n, m))
+    return sigma(h_h(m, n + 1) - h_h(m + 1, n)) - bullets(m, n) + bullets(n, m)
 
 
-def kp_classical_sigma() -> dict:
+def kp_classical_sigma() -> Sigma:
     """sigma of 4 p1 p3 - 3 p2^2 - p1^4 + 6 p1 (p1 o p1) - 6 (p1 o p2) + 6 (p2 o p1)."""
     p1, p2 = sigma(p_leaf(1, (1,))), sigma(p_leaf(1, (2,)))
-    return sum_terms(
-        sigma(sum_terms(p_leaf(4, (3, 1)), p_leaf(-3, (2, 2)), p_leaf(-1, (1, 1, 1, 1)))),
-        scaled_terms(6, sigma_times(1, sigma_bullet(p1, p1))),
-        scaled_terms(-6, sigma_bullet(p1, p2)),
-        scaled_terms(6, sigma_bullet(p2, p1)),
-    )
+    lhs = PowerSums({(3, 1): 4, (2, 2): -3, (1, 1, 1, 1): -1})
+    return sigma(lhs) + 6 * sigma_times(1, p1 * p1) - 6 * (p1 * p2) + 6 * (p2 * p1)

@@ -51,6 +51,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse("M[2] + $")
     assert "position 7" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse("M[1] M[2]")
+    assert err.value.pos == 5
     with pytest.raises(ParseError):
         parse("M[0]")
     with pytest.raises(ParseError):

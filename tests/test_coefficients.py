@@ -67,7 +67,7 @@ def test_integral_coefficients_are_stored_as_int():
 
 
 def test_terms_are_a_read_only_view():
-    """complete_h is cached, so a write through .terms would change every later h_2."""
+    """A write through .terms is refused, for every class of element."""
     with pytest.raises(TypeError):
         complete_h(2).terms[Composition((2,))] = 5
     assert repr(complete_h(2)) == "M[2] + M[1,1]"
@@ -91,6 +91,7 @@ def test_fractional_terms_are_worked_out_on_read():
     assert e.terms == dict(e.terms) == e.terms and dict(e.terms) == e.terms
     assert e.terms != QSymElem("M", {(1,): Fraction(1, 2)}).terms
     assert (e + e).terms != e.terms and (e + e).terms == {k: 2 * v for k, v in e.terms.items()}
+    assert repr(e.terms) == "{[1]: Fraction(1, 2), [2]: 3, [1,1]: Fraction(-2, 3)}"
     with pytest.raises(TypeError):
         hash(e.terms)
 

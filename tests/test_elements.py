@@ -27,6 +27,8 @@ def test_monomial_and_zero_pruning():
     assert not zero()
     with pytest.raises(ValueError):
         monomial("X", (1,))
+    with pytest.raises(ValueError):
+        to_basis(M(1), "X")
     with pytest.raises(TypeError):
         QSymElem("M", {(1,): 0.5})
 
@@ -44,6 +46,19 @@ def test_cross_basis_addition_normalizes():
     s = monomial("F", (2,)) + M(1, 1)
     assert s.basis == "M"
     assert s == M(2) + 2 * M(1, 1)
+
+
+def test_product_operator_is_mul_across_bases():
+    a, b = monomial("F", (2,)) + M(1), 3 * monomial("Mt", (1, 1))
+    assert a * b == mul(a, b) == mul(to_basis(a, "M"), to_basis(b, "M"))
+
+
+@pytest.mark.parametrize("name, value", [("nums", {}), ("den", 2), ("space", "F")])
+def test_elements_refuse_writes(name, value):
+    a = M(2)
+    with pytest.raises(AttributeError):
+        setattr(a, name, value)
+    assert a.form == ({(2,): 1}, 1) and a.space == "M"
 
 
 def test_to_basis_examples():

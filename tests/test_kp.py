@@ -8,24 +8,25 @@ import pytest
 from quasisym.cli import main
 
 from quasisym.composition import Composition, compositions_of
-from quasisym.elements import QSymElem, monomial, one, sum_terms, to_basis
+from quasisym.elements import QSymElem, monomial, one, to_basis
 from quasisym.hopf import TensorElem, coproduct, derivation_delta, tensor_of
 from quasisym.kp import (
+    PowerSums,
+    Sigma,
     _h_words,
     complete_h,
     elementary_schur,
+    h_in_p,
     h_product,
     kp_classical_identity,
     kp_classical_sigma,
     kp_identity,
     kp_sigma,
     p_leaf,
-    p_product,
     partitions_of,
     power_sum,
     schur_substitution,
     sigma,
-    sigma_bullet,
     sigma_render,
     sigma_times,
 )
@@ -64,6 +65,13 @@ def test_complete_h():
         flat = QSymElem("M", {c: Fraction(1) for c in compositions_of(n)})
         assert complete_h(n) == flat
         assert complete_h(n) == to_basis(monomial("Mt", (1,) * n), "M")
+
+
+def test_complete_h_is_a_new_element_each_call():
+    # a caller that writes into its h_2 changes no later h_2
+    complete_h(2).nums[Composition((2,))] = 5
+    assert repr(complete_h(2)) == "M[2] + M[1,1]"
+    assert complete_h(2) is not complete_h(2)
 
 
 def test_newton_suite_checks_the_recursion(monkeypatch):
@@ -207,7 +215,7 @@ def test_derivation_form_of_kp():
 def test_sigma_leaves():
     assert sigma_render(sigma(p_leaf(1, (3,)))) == "-phi_{t3}"
     assert (
-        sigma_render(sigma_bullet(sigma(p_leaf(1, (1,))), sigma(p_leaf(1, (2,)))))
+        sigma_render(sigma(p_leaf(1, (1,))) * sigma(p_leaf(1, (2,))))
         == "phi_{t1}*phi_{t2}"
     )
     with pytest.raises(ValueError):
@@ -245,15 +253,15 @@ def test_every_family_render_is_unchanged():
 def test_sigma_derivative_rule():
     # p_1 (p_1 o p_1) renders with the product rule, order preserved
     p1 = sigma(p_leaf(1, (1,)))
-    terms = sigma_times(1, sigma_bullet(p1, p1))
-    assert terms == {((1,), (1, 1)): 1, ((1, 1), (1,)): 1}
-    assert sigma_render(terms) == "phi_{t1}*phi_{t1,t1} + phi_{t1,t1}*phi_{t1}"
+    image = sigma_times(1, p1 * p1)
+    assert image.terms == {((1,), (1, 1)): 1, ((1, 1), (1,)): 1}
+    assert sigma_render(image) == "phi_{t1}*phi_{t1,t1} + phi_{t1,t1}*phi_{t1}"
 
 
 def test_sigma_collects_like_terms():
     # p_leaf sorts the parts, so the two leaves are one term and cancel
-    assert sigma(sum_terms(p_leaf(2, (2, 1)), p_leaf(-2, (1, 2)))) == {}
-    assert sigma_render({}) == "0"
+    assert not sigma(p_leaf(2, (2, 1)) + p_leaf(-2, (1, 2)))
+    assert sigma_render(Sigma()) == "0"
 
 
 def test_classical_rendering_matches_kp_equation():
@@ -266,6 +274,30 @@ def test_h_form_rendering_matches_kp_equation():
     # the (1,2) member, rendered from its h-form and cleared of
     # denominators, reproduces the same equation text
     assert sigma_render(kp_sigma(1, 2), normalize=True) == KP_EQUATION
+
+
+def test_power_sums_are_keyed_by_partitions():
+    # parts are sorted, so two spellings of one partition are one key
+    assert PowerSums({(1, 2): 1, (2, 1): 1}).terms == {(2, 1): 2}
+    assert not PowerSums({(1, 2): 3, (2, 1): -3})
+    x = p_leaf(Fraction(1, 2), (1,)) + p_leaf(2, (2,))
+    assert x * x == PowerSums({(1, 1): Fraction(1, 4), (2, 1): 2, (2, 2): 4})
+    assert repr(x * x) == "1/4*p[1,1] + 2*p[2,1] + 4*p[2,2]"
+    assert h_in_p(2) == PowerSums({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    for bad in ((), (0,), (True, 1)):
+        with pytest.raises(ValueError):
+            PowerSums({bad: 1})
+
+
+def test_sigma_images_are_ordered_products_of_factors():
+    a, b = Sigma({((2, 1),): 1}), Sigma({((3,),): Fraction(-3, 2)})
+    assert a.terms == {((1, 2),): 1}
+    assert a * b != b * a and (a * b).terms == {((1, 2), (3,)): Fraction(-3, 2)}
+    assert repr(a * b + 2 * b) == "-3*phi_{t3} - 3/2*phi_{t1,t2}*phi_{t3}"
+    # normalised: the numerators alone, the first term made positive
+    assert sigma_render(a * b + 2 * b, normalize=True) == "6*phi_{t3} + 3*phi_{t1,t2}*phi_{t3}"
+    assert sigma_render(Sigma(), normalize=True) == "0"
+    assert sigma(h_in_p(2)) == Sigma({((2,),): Fraction(-1, 2), ((1, 1),): Fraction(-1, 2)})
 
 
 def test_sigma_rejects_junk():

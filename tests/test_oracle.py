@@ -61,6 +61,9 @@ def test_poly_ops():
         poly_equal(p, Polynomial(2))
     with pytest.raises(ValueError):
         poly_mul(p, Polynomial(2))
+    assert (Polynomial(2) == Polynomial(3)) is False
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Polynomial(2, {(1,): 1})
     assert 2 * p == p + p
 
 
