@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -191,8 +191,8 @@ class Sparse:
         clean = {}
         for key, coeff in (terms or {}).items():
             coeff = coefficient(coeff)
+            key = self._key(key)  # every key, zero terms too
             if coeff:
-                key = self._key(key)
                 if key in clean:  # two keys that check to one add up
                     coeff += clean.pop(key)
                     if not coeff:
@@ -366,7 +366,6 @@ def _m(a: QSymElem) -> QSymElem:
 _TO_M = {"F": _refinements, "Mt": _coarsenings}
 
 
-@lru_cache(maxsize=None)
 def _from_m(target: str, comp) -> dict:
     """M_comp in the target basis: (-1)^(length difference) on each related composition."""
     return {d: -1 if (len(d) - len(comp)) % 2 else 1 for d in _TO_M[target](comp)}

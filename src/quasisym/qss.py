@@ -11,6 +11,9 @@ A `QssPoly` is an oracle `Polynomial` over the 2N variables and shares its
 product.  Its stored key is one exponent tuple of length 2N, the x
 exponents then the y exponents (y_i at index N + i - 1); the constructor
 takes pairs (x-exponents, y-exponents).
+
+`in_span`, the span test of the closure probe, is sparse elimination on
+the core's forms (`form_of`, `scaled`, `sum_forms`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cache, partial
 from operator import add
 
 from quasisym.composition import Composition, compositions_of, enumerate_compositions, positive_index
-from quasisym.elements import bilinear, linear, reduced
+from quasisym.elements import bilinear, form_of, linear, reduced, scaled, sum_forms
 from quasisym.oracle import Polynomial, exponent_vector, monomial_text
 
 
@@ -172,42 +175,32 @@ def set_y_zero_x_vector(a: QssPoly):
     return {key[:n]: coeff for key, coeff in a.terms.items() if not any(key[n:])}
 
 
-def _row_reduce(rows):
-    """In-place exact Gaussian elimination; returns the pivot column list."""
-    pivots = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def in_span(vectors, target) -> bool:
     """Exact membership of target in the rational span of vectors.
 
-    vectors and target are maps monomial -> coefficient over any shared key
-    space; decided by row reduction of the transposed system.
+    vectors (any iterable) and target are maps key -> coefficient over any
+    shared key space.  Each vector in turn is reduced by the pivots of the
+    vectors before it, and a nonzero remainder adds a pivot: a key of its
+    support, with its form.  target is in the span exactly when it reduces
+    to zero.
     """
-    keys = sorted(set().union(*[v.keys() for v in vectors], target.keys()))
-    # columns: one per vector, plus the target; eliminate and look for a
-    # pivot in the target column
-    rows = [
-        [Fraction(v.get(key, 0)) for v in vectors] + [Fraction(target.get(key, 0))]
-        for key in keys
-    ]
-    pivots = _row_reduce(rows)
-    return len(vectors) not in pivots
+    pivots = {}
+
+    def remainder(terms):
+        nums, den = reduced(*form_of(terms))  # zero coefficients dropped
+        # in pivot order: a pivot's form is zero at every earlier pivot's
+        # key, so a key once cleared stays clear
+        for key, (pnums, pden) in pivots.items():
+            if key in nums:
+                r = Fraction(-nums[key] * pden, den * pnums[key])
+                nums, den = sum_forms((nums, den), scaled(r, (pnums, pden)))
+        return nums, den
+
+    for v in vectors:
+        nums, den = remainder(v)
+        if nums:
+            pivots[next(iter(nums))] = nums, den
+    return not remainder(target)[0]
 
 
 def closure_probe(max_weight: int, n: int):

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from quasisym.composition import enumerate_compositions
+from quasisym.composition import Composition, enumerate_compositions
 from quasisym.elements import (
     QSymElem,
+    _from_m,
     counit,
     format_elem,
     monomial,
@@ -25,12 +26,20 @@ def test_monomial_and_zero_pruning():
     assert monomial("M", ()) == one()
     assert QSymElem("M", {(2,): 0}) == zero()
     assert not zero()
+    with pytest.raises(ValueError):  # a zero term's key is checked too
+        QSymElem("M", {"junk": 0, (0, -3): 0})
     with pytest.raises(ValueError):
         monomial("X", (1,))
     with pytest.raises(ValueError):
         to_basis(M(1), "X")
     with pytest.raises(TypeError):
         QSymElem("M", {(1,): 0.5})
+
+
+def test_base_change_keeps_no_shared_sign_map():
+    """A write into one M-to-F sign map reaches no later base change."""
+    _from_m("F", Composition((1, 1)))[Composition((9,))] = 5
+    assert repr(to_basis(M(1, 1), "F")) == "F[1,1]"
 
 
 def test_linear_ops():

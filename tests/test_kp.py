@@ -303,3 +303,5 @@ def test_sigma_images_are_ordered_products_of_factors():
 def test_sigma_rejects_junk():
     with pytest.raises(ValueError):
         sigma_times(0, sigma(p_leaf(1, (1,))))
+    with pytest.raises(ValueError):  # the empty partition, even with coefficient 0
+        p_leaf(0, ())

@@ -2,6 +2,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisym.composition import enumerate_compositions
 from quasisym.elements import monomial
@@ -205,6 +206,64 @@ def test_in_span():
     v2 = {("b",): Fraction(1)}
     assert in_span([v1, v2], {("a",): Fraction(2), ("b",): Fraction(1)})
     assert not in_span([v2], {("a",): Fraction(1)})
+
+
+def dense_in_span(vectors, target) -> bool:
+    """Reference: Gauss-Jordan on dense Fraction rows of the transposed
+    system, one column per vector plus the target; target is in the span
+    exactly when its column gets no pivot."""
+    keys = sorted(set().union(*[v.keys() for v in vectors], target.keys()))
+    rows = [[Fraction(v.get(key, 0)) for v in vectors] + [Fraction(target.get(key, 0))]
+            for key in keys]
+    pivots, r = [], 0
+    for c in range(len(vectors) + 1):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return len(vectors) not in pivots
+
+
+def combination(coeffs, vectors) -> dict:
+    keys = set().union(*[v.keys() for v in vectors])
+    return {k: sum(c * v.get(k, 0) for c, v in zip(coeffs, vectors)) for k in keys}
+
+
+# rational vectors over at most 5 keys; zero coefficients included
+span_vectors = st.dictionaries(
+    st.sampled_from([(c,) for c in "abcde"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=5)
+span_coeffs = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+
+
+@st.composite
+def span_cases(draw):
+    """(vectors, combination coefficients, a random target); about half the
+    time the last of two or more vectors is a combination of the others."""
+    vectors = draw(st.lists(span_vectors, max_size=4))
+    if len(vectors) > 1 and draw(st.booleans()):
+        vectors[-1] = combination(draw(span_coeffs), vectors[:-1])
+    return vectors, draw(span_coeffs), draw(span_vectors)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(span_cases())
+def test_in_span_agrees_with_dense_elimination(case):
+    vectors, coeffs, other = case
+    spanned = combination(coeffs, vectors)
+    assert in_span(vectors, spanned)
+    for target in (spanned, other, {}):
+        want = dense_in_span(vectors, target)
+        assert in_span(vectors, target) == want
+        assert in_span((v for v in vectors), target) == want
 
 
 def test_closure_probe():
