@@ -7,13 +7,13 @@ parse errors.  All output is deterministic so reports can be diffed.
 Expression grammar (whitespace insensitive):
 
     sum     := ['-'] product (('+' | '-') product)*
-    product := atom (op atom)*      op one of '*', '.k.', '^k^'
+    product := atom ('*' atom)* | atom ('.k.' | '^k^') atom
     atom    := 'M[..]' | 'Mt[..]' | 'F[..]' | 'p<int>' | 'h<int>'
              | integer | 'a/b' | '(' sum ')'
 
-'*' chains associate on the left.  A product chain containing '.k.' or
-'^k^' must consist of that single operator: those products are not
-associative, so longer chains require explicit parentheses.
+'*' chains associate on the left.  '.k.' and '^k^' are not associative,
+so a chain with one of them takes no further product operator: longer
+chains need explicit parentheses.
 """
 
 from __future__ import annotations
@@ -76,72 +76,45 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
+    def take(self, kind=None, values=None):
+        """The next token, consumed; None, consuming nothing, if it is not of
+        kind or its value is not one of values."""
         tok = self.tokens[self.i]
+        if kind and tok[0] != kind or values and tok[1] not in values:
+            return None
         self.i += 1
         return tok
 
     def parse(self):
         node = self.sum()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
         return node
 
     def sum(self):
-        kind, value, pos = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            self.take()
-            negate = True
-        node = self.product()
-        if negate:
-            node = ("neg", node)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.product()
-                node = ("add" if value == "+" else "sub", node, rhs)
-            else:
-                return node
+        node = ("neg", self.product()) if self.take("op", "-") else self.product()
+        while tok := self.take("op", "+-"):
+            node = ("add" if tok[1] == "+" else "sub", node, self.product())
+        return node
 
     def product(self):
-        operands = [self.atom()]
-        ops = []
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                ops.append(("mul", None, pos))
-            elif kind == "bullet":
-                self.take()
-                ops.append(("bullet", int(value[1:-1]), pos))
-            elif kind == "hat":
-                self.take()
-                ops.append(("hat", int(value[1:-1]), pos))
-            else:
-                break
-            operands.append(self.atom())
-        if not ops:
-            return operands[0]
-        if any(op[0] != "mul" for op in ops) and len(ops) > 1:
+        """atom ('*' atom)* | atom ('.k.' | '^k^') atom; another product
+        operator after the chain is refused at that operator."""
+        node, chained = self.atom(), False
+        while self.take("op", "*"):
+            node, chained = ("mul", node, self.atom()), True
+        if not chained and (tok := self.take("bullet") or self.take("hat")):
+            node, chained = (tok[0], int(tok[1][1:-1]), node, self.atom()), True
+        kind, value, pos = self.tokens[self.i]
+        if chained and (kind in ("bullet", "hat") or value == "*"):
             raise ParseError(
                 "product chains mixing '*' with '.k.'/'^k^', or chaining "
                 "'.k.'/'^k^', need explicit parentheses: these products are "
                 "not associative",
-                ops[1][2],
+                pos,
             )
-        if ops[0][0] == "mul":
-            node = operands[0]
-            for rhs in operands[1:]:
-                node = ("mul", node, rhs)
-            return node
-        kind, k, _ = ops[0]
-        return (kind, k, operands[0], operands[1])
+        return node
 
     def atom(self):
         kind, value, pos = self.take()
@@ -168,9 +141,8 @@ class _Parser:
             return ("basis", name, comp)
         if kind == "op" and value == "(":
             node = self.sum()
-            kind, value, pos = self.take()
-            if not (kind == "op" and value == ")"):
-                raise ParseError("expected ')'", pos)
+            if not self.take("op", ")"):
+                raise ParseError("expected ')'", self.tokens[self.i][2])
             return node
         raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input", pos)
 
@@ -275,21 +247,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in the M basis")
-    p_eval.add_argument("expr")
+    p_eval.add_argument("expr", nargs="?")
 
     p_expand = sub.add_parser("expand", help="expand an expression in N variables")
     p_expand.add_argument("--vars", type=int, required=True, metavar="N")
-    p_expand.add_argument("expr")
+    p_expand.add_argument("expr", nargs="?")
 
     p_convert = sub.add_parser("convert", help="re-express in a chosen basis")
     p_convert.add_argument("--to", choices=("M", "Mt", "F"), required=True)
-    p_convert.add_argument("expr")
+    p_convert.add_argument("expr", nargs="?")
 
     p_coprod = sub.add_parser("coproduct", help="print the coproduct, one tensor term per line")
-    p_coprod.add_argument("expr")
+    p_coprod.add_argument("expr", nargs="?")
 
     p_anti = sub.add_parser("antipode", help="apply the antipode")
-    p_anti.add_argument("expr")
+    p_anti.add_argument("expr", nargs="?")
 
     p_kp = sub.add_parser("kp", help="check one member of the KP identity family")
     p_kp.add_argument("--m", type=int, required=True)
@@ -310,7 +282,15 @@ def main(argv=None) -> int:
     p_verify.add_argument("--max-k", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
 
-    args = parser.parse_args(argv)
+    # argparse reads an expression starting with '-', such as '-M[2]', as an
+    # unknown option: one such leftover is the expression
+    args, rest = parser.parse_known_args(argv)
+    if getattr(args, "expr", "") is None:
+        if len(rest) != 1:
+            sub.choices[args.command].error("the following arguments are required: expr")
+        args.expr = rest.pop()
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
 
     try:
         return _dispatch(args, sys.stdout)
@@ -347,15 +327,13 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "kp":
-        from quasisym.kp import kp_identity, kp_sigma, sigma_render
+        from quasisym.kp import certify_kp, kp_identity, kp_sigma, sigma_render
 
         # the report is written whole, so a refused bound leaves no PASS line
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]
         if ok and args.certify is not None:
-            from quasisym.suites import certify_kp
-
             ok = certify_kp(args.m, args.n, args.certify)
             lines.append(f"oracle certification @N={args.certify}: {'PASS' if ok else 'FAIL'}\n")
         if args.pde:

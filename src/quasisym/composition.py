@@ -5,11 +5,16 @@ all the purely combinatorial operations on them in one place: refinement
 and coarsening, the block decomposition into runs ``(head, 1, ..., 1)``,
 the involution driving the antipode on the fundamental basis, and a
 canonical enumeration order used for deterministic output everywhere else.
+
+A coarsening keeps a subset of the gaps between parts, so the compositions
+of n are the coarsenings of (1, ..., 1) (Stanley, EC1 1.2; Gessel 1984); a
+block starts at the first part or at a part >= 2.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, pairwise
 
 
 def positive_index(k, what: str, least: int = 1) -> int:
@@ -77,15 +82,12 @@ def reverse(c) -> Composition:
 
 @lru_cache(maxsize=None, typed=True)
 def compositions_of(n: int) -> tuple:
-    """All compositions of weight n, sorted canonically. 2^(n-1) of them for n >= 1."""
+    """All compositions of weight n, sorted canonically: the coarsenings of
+    (1, ..., 1), one per subset of its n - 1 kept gaps, so 2^(n-1) of them
+    for n >= 1."""
     if positive_index(n, "weight", least=0) == 0:
         return (EMPTY,)
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions_of(n - first):
-            out.append(Composition((first,) + rest))
-    out.sort(key=canonical_key)
-    return tuple(out)
+    return tuple(sorted(_coarsenings(tuple.__new__(Composition, (1,) * n)), key=canonical_key))
 
 
 def enumerate_compositions(max_weight: int) -> list:
@@ -99,7 +101,7 @@ def enumerate_compositions(max_weight: int) -> list:
 def coarsenings(c) -> frozenset:
     """All compositions obtained by summing runs of adjacent parts (c included).
 
-    A coarsening picks a subset of the len(c)-1 internal gaps to merge, and
+    A coarsening keeps a subset of the len(c)-1 gaps between parts, and
     distinct subsets give distinct results, so there are 2^(len(c)-1) of them.
     The parts are checked before the cached lookup, because (True, 2) and
     (1.0, 2) hash and compare equal to (1, 2).
@@ -109,19 +111,11 @@ def coarsenings(c) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _coarsenings(c: Composition) -> frozenset:
-    if len(c) <= 1:
+    if not c:
         return frozenset({c})
-    out = set()
-    # gap mask bit i set = keep the boundary after part i
-    for mask in range(1 << (len(c) - 1)):
-        parts = [c[0]]
-        for i in range(1, len(c)):
-            if mask & (1 << (i - 1)):
-                parts.append(c[i])
-            else:
-                parts[-1] += c[i]
-        out.add(Composition(parts))
-    return frozenset(out)
+    # per subset of kept gaps, the sums of the parts between them: already checked
+    return frozenset(tuple.__new__(Composition, [sum(c[a:b]) for a, b in pairwise((0, *kept, len(c)))])
+                     for r in range(len(c)) for kept in combinations(range(1, len(c)), r))
 
 
 def refinements(c) -> frozenset:
@@ -134,38 +128,25 @@ def refinements(c) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _refinements(c: Composition) -> frozenset:
-    out = [EMPTY]
+    words = [()]
     for part in c:
-        out = [prefix + piece for prefix in out for piece in compositions_of(part)]
-    return frozenset(out)
+        words = [(*prefix, *piece) for prefix in words for piece in compositions_of(part)]
+    return frozenset(tuple.__new__(Composition, w) for w in words)
 
 
 def elementary_decompose(c):
     """Unique block decomposition (m_1, n_1), ..., (m_r, n_r).
 
     The blocks reassemble to c as (m_1+1, 1^{n_1}, m_2+2, 1^{n_2}, ...):
-    the first block head is m_1+1, later heads are m_i+2, and each head is
-    followed by a maximal run of n_i ones.
+    a block starts at the first part or at a part >= 2, its head is m_1+1
+    for the first block and m_i+2 after it, and n_i ones follow up to the
+    next block start.
     """
     c = Composition(c)
     if not c:
         raise ValueError("empty composition has no block decomposition")
-    blocks = []
-    i = 0
-    while i < len(c):
-        head = c[i]
-        if not blocks:
-            m = head - 1
-        else:
-            # later heads terminated the previous 1-run, so head >= 2
-            m = head - 2
-        i += 1
-        n = 0
-        while i < len(c) and c[i] == 1:
-            n += 1
-            i += 1
-        blocks.append((m, n))
-    return tuple(blocks)
+    starts = [0, *(i for i in range(1, len(c)) if c[i] > 1)]
+    return tuple((c[a] - (2 if a else 1), b - a - 1) for a, b in pairwise((*starts, len(c))))
 
 
 def elementary_compose(blocks) -> Composition:

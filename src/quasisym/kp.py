@@ -134,6 +134,25 @@ def kp_identity(m: int, n: int):
     return lhs, QSymElem._raw("M", *rhs)
 
 
+def certify_kp(m: int, n: int, nvars: int) -> bool:
+    """Rebuild both sides of the (m, n) identity with polynomial arithmetic.
+
+    nvars must reach the identity's degree m + n + 1: below it, equal
+    expansions do not decide equality in QSym."""
+    # imported here, so that only `kp --certify` of the KP commands loads the oracle
+    from quasisym.oracle import Polynomial, expand, expand_bullet, poly_mul
+
+    m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
+    positive_index(nvars, "variable count", least=m + n + 1)
+    h = complete_h
+    e = lambda q: expand(q, nvars)
+    lhs = poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))
+    first = (expand_bullet(1, h(k), h_product(m - k, n), nvars).form for k in range(1, m + 1))
+    second = (scaled(-1, expand_bullet(1, h(k), h_product(n - k, m), nvars).form)
+              for k in range(1, n + 1))
+    return lhs == Polynomial._raw(nvars, *sum_forms(*first, *second))
+
+
 def kp_classical_identity():
     """The KP identity 4 p1 p3 - 3 p2^2 - p1^4 = -6 p1 (p1 o p1) + 6 (p1 o p2 - p2 o p1)."""
     p1, p2, p3 = power_sum(1), power_sum(2), power_sum(3)

@@ -15,7 +15,7 @@ from itertools import product
 
 from quasisym.composition import Composition, enumerate_compositions, positive_index
 from quasisym.elements import (
-    QSymElem, counit, format_terms, monomial, one, scale, scaled, sum_forms, to_basis,
+    QSymElem, counit, format_terms, monomial, one, scale, to_basis,
 )
 from quasisym.hopf import (
     antipode,
@@ -30,8 +30,8 @@ from quasisym.hopf import (
     tensor_of,
 )
 from quasisym.kp import (
+    certify_kp,
     complete_h,
-    h_product,
     kp_classical_identity,
     kp_identity,
     power_sum,
@@ -221,22 +221,6 @@ def suite_kp(max_mn: int = 3, certify_upto: int = 0):
         yield (f"kp m={m} n={n}", *kp_identity(m, n))
         if m <= certify_upto and n <= certify_upto:
             yield (f"kp m={m} n={n} oracle@N={m + n + 2}", certify_kp(m, n, m + n + 2))
-
-
-def certify_kp(m: int, n: int, nvars: int) -> bool:
-    """Rebuild both sides of the (m, n) identity with polynomial arithmetic.
-
-    nvars must reach the identity's degree m + n + 1: below it, equal
-    expansions do not decide equality in QSym."""
-    m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
-    positive_index(nvars, "variable count", least=m + n + 1)
-    h = complete_h
-    e = lambda q: expand(q, nvars)
-    lhs = poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))
-    first = (expand_bullet(1, h(k), h_product(m - k, n), nvars).form for k in range(1, m + 1))
-    second = (scaled(-1, expand_bullet(1, h(k), h_product(n - k, m), nvars).form)
-              for k in range(1, n + 1))
-    return lhs == Polynomial._raw(nvars, *sum_forms(*first, *second))
 
 
 def suite_kp_classical(certify_nvars: int = 4):

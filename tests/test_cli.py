@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasisym.cli import ParseError, evaluate, main, parse
+from quasisym.cli import ParseError, _tokenize, evaluate, main, parse
+from quasisym.composition import Composition
 from quasisym.elements import format_elem, monomial, one
 from quasisym.kp import complete_h
 from quasisym.products import bullet, hat_bullet, mul
@@ -62,6 +65,160 @@ def test_parse_errors_carry_position():
         parse("")
     with pytest.raises(ParseError):
         parse("1/0")
+
+
+class ReferenceParser:
+    """The earlier parser, kept as a reference: a product chain collects
+    every operator and operand first and is checked afterwards."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        node = self.sum()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {value!r}", pos)
+        return node
+
+    def sum(self):
+        kind, value, pos = self.peek()
+        negate = False
+        if kind == "op" and value == "-":
+            self.take()
+            negate = True
+        node = self.product()
+        if negate:
+            node = ("neg", node)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value in "+-":
+                self.take()
+                rhs = self.product()
+                node = ("add" if value == "+" else "sub", node, rhs)
+            else:
+                return node
+
+    def product(self):
+        operands = [self.atom()]
+        ops = []
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+                ops.append(("mul", None, pos))
+            elif kind == "bullet":
+                self.take()
+                ops.append(("bullet", int(value[1:-1]), pos))
+            elif kind == "hat":
+                self.take()
+                ops.append(("hat", int(value[1:-1]), pos))
+            else:
+                break
+            operands.append(self.atom())
+        if not ops:
+            return operands[0]
+        if any(op[0] != "mul" for op in ops) and len(ops) > 1:
+            raise ParseError("product chains mixing '*' with '.k.'/'^k^', or chaining "
+                             "'.k.'/'^k^', need explicit parentheses: these products are "
+                             "not associative", ops[1][2])
+        if ops[0][0] == "mul":
+            node = operands[0]
+            for rhs in operands[1:]:
+                node = ("mul", node, rhs)
+            return node
+        kind, k, _ = ops[0]
+        return (kind, k, operands[0], operands[1])
+
+    def atom(self):
+        kind, value, pos = self.take()
+        if kind == "number":
+            if "/" in value:
+                num, den = value.split("/")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", pos)
+                return ("num", Fraction(int(num), int(den)))
+            return ("num", Fraction(int(value)))
+        if kind == "named":
+            return ("named", value[0], int(value[1:]))
+        if kind == "atom":
+            name = value[: value.index("[")]
+            inner = value[value.index("[") + 1 : -1].strip()
+            if inner:
+                try:
+                    comp = Composition(tuple(int(p) for p in inner.split(",")))
+                except ValueError as exc:
+                    raise ParseError(str(exc), pos) from None
+            else:
+                comp = Composition()
+            return ("basis", name, comp)
+        if kind == "op" and value == "(":
+            node = self.sum()
+            kind, value, pos = self.take()
+            if not (kind == "op" and value == ")"):
+                raise ParseError("expected ')'", pos)
+            return node
+        raise ParseError(f"expected an atom, got {value!r}" if value else "unexpected end of input",
+                         pos)
+
+
+def outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc
+
+
+WORDS = ("M[1]", "Mt[]", "F[2,1]", "M[0]", "h2", "p1", "1", "3/2", "1/0",
+         "*", "+", "-", "(", ")", ".1.", ".2.", "^2^", "$")
+OPERANDS = ("M[1]", "Mt[]", "F[2,1]", "h2", "p1", "1", "3/2", "(1 - p1)", "(h2 .1. 1)")
+OPERATORS = ("*", "+", "-", ".1.", "^2^")
+# any words, or operands joined by operators, which the parser accepts more often
+token_strings = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=12),
+    st.builds(lambda first, rest: [first, *(w for pair in rest for w in pair)],
+              st.sampled_from(OPERANDS),
+              st.lists(st.tuples(st.sampled_from(OPERATORS), st.sampled_from(OPERANDS)),
+                       max_size=5)),
+)
+
+
+@given(token_strings, st.sampled_from(("", " ")))
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_parser_agrees_with_the_reference(words, sep):
+    text = sep.join(words)
+    got = outcome(parse, text)
+    want = outcome(lambda t: ReferenceParser(t).parse(), text)
+    if isinstance(got, ParseError) or isinstance(want, ParseError):
+        assert isinstance(got, ParseError) and isinstance(want, ParseError)
+        if got.pos != want.pos:
+            # the chain is reported where it turns illegal: before a later
+            # fault, or at the '.k.'/'^k^' after a run of '*'
+            assert "explicit parentheses" in str(got)
+            assert got.pos < want.pos or text[want.pos] == "*" and text[got.pos] in ".^"
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("M[1]^2^h2^2^.2.", 9),  # the chain, before the missing atom at 12
+    ("h2*M[1]*Mt[]*F[2,1]^2^p1", 19),  # the '^2^' after a run of '*'
+    ("p1 * p1 .1. p1", 8),
+    ("1 .1. 1 * 1", 8),
+])
+def test_chain_is_refused_where_it_turns_illegal(text, pos):
+    with pytest.raises(ParseError, match="explicit parentheses") as err:
+        parse(text)
+    assert err.value.pos == pos
 
 
 def test_eval_examples():
@@ -280,6 +437,40 @@ def test_cli_domain_error_exit_2():
     code, _, err = run_cli("expand", "--vars", "0", "1")
     assert code == 2
     assert "variable count must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-M[2]"),
+    ("eval", "-1/2*M[2] + M[1]"),
+    ("expand", "--vars", "2", "-M[1]"),
+    ("convert", "--to", "F", "-M[1,1]"),
+    ("coproduct", "-M[2,1]"),
+    ("antipode", "-M[2,1]"),
+], ids=" ".join)
+def test_cli_expression_may_start_with_minus(argv):
+    # argparse reads such an argument as an unknown option
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert (code, out) == run_cli(*argv[:-1], "0 " + argv[-1])[:2]
+
+
+def test_cli_reads_back_what_it_prints():
+    _, printed, _ = run_cli("eval", "0 - M[2]")
+    assert printed == "-M[2]\n"
+    assert run_cli("eval", printed.strip())[:2] == (0, printed)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval",),
+    ("eval", "-M[2]", "-M[1]"),
+    ("eval", "M[2]", "-x"),
+    ("convert", "--to", "F"),
+    ("kp", "--m", "1", "--n", "2", "-x"),
+], ids=" ".join)
+def test_cli_missing_or_extra_arguments_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
 
 
 def test_console_script_entry():

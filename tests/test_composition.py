@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from quasisym.composition import (
@@ -125,3 +127,73 @@ def test_enumerate_compositions():
     ordered = enumerate_compositions(6)
     keys = [canonical_key(c) for c in ordered]
     assert keys == sorted(keys)
+
+
+# -- the earlier implementations, kept as references ----------------------
+# compositions by first part, coarsenings by a gap bitmask, refinements by
+# concatenation, blocks by a two-index scan
+
+@lru_cache(maxsize=None)
+def ref_compositions_of(n):
+    if n == 0:
+        return (EMPTY,)
+    out = []
+    for first in range(1, n + 1):
+        for rest in ref_compositions_of(n - first):
+            out.append(Composition((first,) + rest))
+    out.sort(key=canonical_key)
+    return tuple(out)
+
+
+def ref_coarsenings(c):
+    if len(c) <= 1:
+        return frozenset({c})
+    out = set()
+    # gap mask bit i set = keep the boundary after part i
+    for mask in range(1 << (len(c) - 1)):
+        parts = [c[0]]
+        for i in range(1, len(c)):
+            if mask & (1 << (i - 1)):
+                parts.append(c[i])
+            else:
+                parts[-1] += c[i]
+        out.add(Composition(parts))
+    return frozenset(out)
+
+
+def ref_refinements(c):
+    out = [EMPTY]
+    for part in c:
+        out = [prefix + piece for prefix in out for piece in ref_compositions_of(part)]
+    return frozenset(out)
+
+
+def ref_elementary_decompose(c):
+    blocks = []
+    i = 0
+    while i < len(c):
+        head = c[i]
+        m = head - 1 if not blocks else head - 2
+        i += 1
+        n = 0
+        while i < len(c) and c[i] == 1:
+            n += 1
+            i += 1
+        blocks.append((m, n))
+    return tuple(blocks)
+
+
+def test_compositions_of_equals_the_reference_in_order():
+    for n in range(13):
+        got = compositions_of(n)
+        assert got == ref_compositions_of(n)
+        assert all(type(c) is Composition for c in got)
+
+
+def test_coarsenings_refinements_and_blocks_equal_the_reference():
+    for c in enumerate_compositions(8):
+        assert coarsenings(c) == ref_coarsenings(c)
+        assert refinements(c) == ref_refinements(c)
+        assert all(type(d) is Composition for d in coarsenings(c) | refinements(c))
+        if c:
+            assert elementary_decompose(c) == ref_elementary_decompose(c)

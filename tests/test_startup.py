@@ -99,6 +99,7 @@ def test_package_import_loads_no_submodule_until_one_is_named():
     ("antipode", "M[2,1]"),
     ("expand", "--vars", "3", "M[2,1]"),
     ("kp", "--m", "1", "--n", "2", "--pde"),
+    ("kp", "--m", "1", "--n", "2", "--certify", "5"),
 ], ids=" ".join)
 def test_command_loads_no_suite_or_heavy_module(argv):
     loaded = loaded_by(*argv)
