@@ -239,29 +239,40 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     return bool(results) and ok_count == len(results)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command.  Every option of a command is long but -h,
+    so any other word that starts with one '-' is an argument: '-M[2]' is an
+    expression, and '-h2' is the expression -h2, not -h with the argument 2."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="quasisym",
         description="Exact computer algebra for quasi-symmetric functions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in the M basis")
-    p_eval.add_argument("expr", nargs="?")
+    p_eval.add_argument("expr")
 
     p_expand = sub.add_parser("expand", help="expand an expression in N variables")
     p_expand.add_argument("--vars", type=int, required=True, metavar="N")
-    p_expand.add_argument("expr", nargs="?")
+    p_expand.add_argument("expr")
 
     p_convert = sub.add_parser("convert", help="re-express in a chosen basis")
     p_convert.add_argument("--to", choices=("M", "Mt", "F"), required=True)
-    p_convert.add_argument("expr", nargs="?")
+    p_convert.add_argument("expr")
 
     p_coprod = sub.add_parser("coproduct", help="print the coproduct, one tensor term per line")
-    p_coprod.add_argument("expr", nargs="?")
+    p_coprod.add_argument("expr")
 
     p_anti = sub.add_parser("antipode", help="apply the antipode")
-    p_anti.add_argument("expr", nargs="?")
+    p_anti.add_argument("expr")
 
     p_kp = sub.add_parser("kp", help="check one member of the KP identity family")
     p_kp.add_argument("--m", type=int, required=True)
@@ -282,15 +293,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--max-k", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
 
-    # argparse reads an expression starting with '-', such as '-M[2]', as an
-    # unknown option: one such leftover is the expression
-    args, rest = parser.parse_known_args(argv)
-    if getattr(args, "expr", "") is None:
-        if len(rest) != 1:
-            sub.choices[args.command].error("the following arguments are required: expr")
-        args.expr = rest.pop()
-    if rest:
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args = parser.parse_args(argv)
 
     try:
         return _dispatch(args, sys.stdout)

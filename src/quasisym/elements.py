@@ -68,8 +68,15 @@ def form_of(terms: dict) -> tuple:
 
 
 def reduced(acc: dict, den: int = 1) -> tuple:
-    """The form of acc[key] / den: zeros dropped, one gcd divided out."""
-    nums = {k: v for k, v in acc.items() if v}
+    """The form of acc[key] / den: zeros dropped, one gcd divided out.
+
+    The numerators are always a new plain dict, never acc itself (often a
+    defaultdict, or a product's shared `nums`).  Zeros are filtered only when
+    acc holds one, and the gcd is taken only when den > 1.
+    """
+    nums = {k: v for k, v in acc.items() if v} if 0 in acc.values() else dict(acc)
+    if den == 1:
+        return nums, den
     g = gcd(den, *nums.values())
     if g == 1:
         return nums, den

@@ -3,16 +3,19 @@
 Every basis element and every graded product has a defining summation over
 chains of indices; this module evaluates those summations literally,
 bypassing all structure constants, into sparse `Polynomial`s to compare
-results.  Distinct compositions of length <= N have disjoint leading
-monomials in N variables, so comparing expansions at N >= total degree
-decides equality in QSym (lengths never exceed weights).
+results.  Every monomial of M_C determines C, not only its leading one:
+its nonzero exponents, read in variable order, are C.  So the expansion of
+an M-basis element is a disjoint union of its terms' monomial sets, and
+distinct compositions of length <= N have independent expansions in N
+variables; comparing expansions at N >= total degree decides equality in
+QSym (lengths never exceed weights).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
 from quasisym._core import chain_monomials
@@ -38,29 +41,40 @@ class Polynomial(Sparse):
         return exponent_vector(mono, self.n)
 
     def _product(self, other):
-        """Exponent vectors add.  Packed as the base-`base` digits of one int,
-        with `base` above every exponent of the product, each pair of
-        monomials costs one int addition and one numerator product."""
-        base = 1 + _top(self) + _top(other)
-        powers = [base ** i for i in range(self.space)]
+        """Exponent vectors add.  Each monomial is packed into one int, so a
+        pair of monomials costs one int addition and one numerator product:
+        one byte per exponent when every exponent of the product is below 256
+        (packed and unpacked by `int.from_bytes`/`int.to_bytes`), else the
+        base-`base` digits of the int, with `base` above every exponent."""
+        n, top = self.space, _top(self) + _top(other)
+        if top < 256:
+            def pack(monos):
+                return map(int.from_bytes, map(bytes, monos), repeat("little"))
 
-        def packed(p):
-            return [(sum(map(mul, mono, powers)), c) for mono, c in p.nums.items()]
+            def unpack(packed):
+                return map(tuple, map(int.to_bytes, packed, repeat(n), repeat("little")))
+        else:
+            base = top + 1
+            powers = [base ** i for i in range(n)]
 
-        right = packed(other)
+            def pack(monos):
+                return [sum(map(mul, mono, powers)) for mono in monos]
+
+            def unpack(packed):
+                for v in packed:
+                    mono = []
+                    for _ in powers:
+                        v, e = divmod(v, base)
+                        mono.append(e)
+                    yield tuple(mono)
+
+        right = list(zip(pack(other.nums), other.nums.values()))
         acc = defaultdict(int)
-        for u, x in packed(self):
+        for u, x in zip(pack(self.nums), self.nums.values()):
             for v, y in right:
                 acc[u + v] += x * y
         nums, den = reduced(acc, self.den * other.den)
-        out = {}
-        for v, c in nums.items():
-            mono = []
-            for _ in powers:
-                v, e = divmod(v, base)
-                mono.append(e)
-            out[tuple(mono)] = c
-        return self._raw(self.space, out, den)
+        return self._raw(n, dict(zip(unpack(nums), nums.values())), den)
 
     def set_last_to_zero(self) -> "Polynomial":
         """The polynomial with its last variable 0, over one variable fewer;
@@ -94,8 +108,8 @@ def monomial_text(**alphabets) -> str:
 
 
 def _top(p: Polynomial) -> int:
-    """The largest exponent in p."""
-    return max((max(mono, default=0) for mono in p.nums), default=0)
+    """The largest exponent in p (0 without variables)."""
+    return max(map(max, p.nums), default=0) if p.n else 0
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -122,8 +136,15 @@ def _expand_basis(basis: str, n: int, comp: tuple) -> tuple:
 
 def expand(a: QSymElem, n: int) -> Polynomial:
     """Evaluate a in n variables straight from its basis's summation formula."""
-    image = partial(_expand_basis, a.basis, positive_index(n, "variable count"))
-    return Polynomial._raw(n, *linear(a.form, image))
+    n = positive_index(n, "variable count")
+    if a.basis == "M":
+        # disjoint monomial sets: no two terms meet, so nothing adds up; but a
+        # composition longer than n has no monomial, and the numerators left
+        # may share a factor with den
+        return Polynomial._raw(n, *reduced(
+            {mono: c for comp, c in a.nums.items() for mono in _expand_basis("M", n, comp)},
+            a.den))
+    return Polynomial._raw(n, *linear(a.form, partial(_expand_basis, a.basis, n)))
 
 
 def _bullet_chain(k: int, n: int, hat: bool, A: tuple, B: tuple) -> tuple:

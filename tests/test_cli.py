@@ -454,6 +454,34 @@ def test_cli_expression_may_start_with_minus(argv):
     assert (code, out) == run_cli(*argv[:-1], "0 " + argv[-1])[:2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "-h2"),
+    ("expand", "--vars", "2", "-h2"),
+    ("convert", "--to", "F", "-h2"),
+    ("coproduct", "-h2"),
+    ("antipode", "-h2*M[1]"),
+], ids=" ".join)
+def test_cli_expression_may_start_with_minus_h(argv):
+    # argparse reads '-h2' as the help option with the argument 2
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert (code, out) == run_cli(*argv[:-1], "0 " + argv[-1])[:2]
+
+
+def test_cli_eval_minus_h2():
+    assert run_cli("eval", "-h2")[:2] == (0, "-M[2] - M[1,1]\n")
+    assert run_cli("eval", "--", "-h2")[:2] == (0, "-M[2] - M[1,1]\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", ["eval", "expand", "convert", "coproduct", "antipode"])
+def test_cli_help_alone_still_prints_help(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: quasisym {command} ")
+
+
 def test_cli_reads_back_what_it_prints():
     _, printed, _ = run_cli("eval", "0 - M[2]")
     assert printed == "-M[2]\n"

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from quasisym.elements import (
     format_elem,
     monomial,
     one,
+    reduced,
     scale,
     to_basis,
     zero,
@@ -40,6 +42,22 @@ def test_base_change_keeps_no_shared_sign_map():
     """A write into one M-to-F sign map reaches no later base change."""
     _from_m("F", Composition((1, 1)))[Composition((9,))] = 5
     assert repr(to_basis(M(1, 1), "F")) == "F[1,1]"
+
+
+def test_reduced_returns_a_new_plain_dict():
+    acc = defaultdict(int, {"a": 6, "b": 4})
+    nums, den = reduced(acc, 10)
+    assert type(nums) is dict and nums is not acc
+    assert (nums, den) == ({"a": 3, "b": 2}, 5)
+    acc = defaultdict(int, {"a": 6, "b": 0, "c": 4})
+    assert reduced(acc, 1) == ({"a": 6, "c": 4}, 1)  # den 1: nothing to divide out
+    assert reduced(acc, 4) == ({"a": 3, "c": 2}, 2)
+    assert reduced(acc, 3) == ({"a": 6, "c": 4}, 3)  # gcd 1
+    assert acc == {"a": 6, "b": 0, "c": 4}
+    plain = {"a": 2}
+    nums, den = reduced(plain)
+    assert (nums, den) == (plain, 1) and nums is not plain
+    assert reduced(defaultdict(int, {"a": 0}), 7) == ({}, 1)
 
 
 def test_linear_ops():

@@ -13,6 +13,7 @@ from quasisym.oracle import (
     poly_mul,
 )
 from quasisym.products import bullet, hat_bullet, mul
+from quasisym.qss import QssPoly
 
 
 def M(*p):
@@ -30,6 +31,14 @@ def test_expand_basis_examples():
     assert expand(monomial("Mt", (1, 1)), 2) == P(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert expand(one(), 3) == P(3, {(0, 0, 0): 1})
     assert expand(M(1, 1, 1, 1), 3) == Polynomial(3)
+
+
+def test_m_expansion_divides_out_the_gcd_left_by_long_compositions():
+    # M[1,1,1] has no monomial in 2 variables; the 1/3 left over is not x/15
+    a = M(1, 1, 1) * Fraction(1, 15) + M(2) * Fraction(1, 3)
+    p = expand(a, 2)
+    assert p == Polynomial(2, {(2, 0): Fraction(1, 3), (0, 2): Fraction(1, 3)})
+    assert p.form == ({(2, 0): 1, (0, 2): 1}, 3)
 
 
 def test_expand_matches_base_change():
@@ -65,6 +74,31 @@ def test_poly_ops():
     with pytest.raises(ValueError, match="bad exponent vector"):
         Polynomial(2, {(1,): 1})
     assert 2 * p == p + p
+
+
+def test_products_at_the_edge_of_one_byte_per_exponent():
+    half = Fraction(1, 2)
+    # largest exponent 255: packed one byte per exponent; the cross terms cancel
+    p = Polynomial(2, {(127, 0): half, (0, 1): half})
+    q = Polynomial(2, {(128, 0): 1, (1, 1): -1})
+    assert p * q == Polynomial(2, {(255, 0): half, (1, 2): -half})
+    # largest exponent 256: packed as digits of a wider base
+    p = Polynomial(2, {(128, 0): half, (0, 1): half})
+    q = Polynomial(2, {(128, 0): 1, (0, 1): -1})
+    assert p * q == Polynomial(2, {(256, 0): half, (0, 2): -half})
+    assert (p * q).form == ({(256, 0): 1, (0, 2): -1}, 2)
+    r = Polynomial(3, {(0, 255, 1): 2, (1, 0, 0): 3})
+    assert r * Polynomial(3, {(0, 1, 0): 1}) == Polynomial(3, {(0, 256, 1): 2, (1, 1, 0): 3})
+    assert r * Polynomial(3, {(0, 0, 0): 1}) == r
+
+
+def test_products_without_variables_and_on_two_alphabets():
+    assert Polynomial(0, {(): 3}) * Polynomial(0, {(): Fraction(1, 2)}) == \
+        Polynomial(0, {(): Fraction(3, 2)})
+    assert Polynomial(0) * Polynomial(0, {(): 5}) == Polynomial(0)
+    d = QssPoly(1, {((1,), (0,)): 1, ((0,), (1,)): -1})  # x1 - y1
+    assert d * d == QssPoly(1, {((2,), (0,)): 1, ((1,), (1,)): -2, ((0,), (2,)): 1})
+    assert d * QssPoly(1, {((255,), (0,)): 1}) == QssPoly(1, {((256,), (0,)): 1, ((255,), (1,)): -1})
 
 
 def test_expand_is_algebra_map():

@@ -19,7 +19,7 @@ from quasisym.hopf import (
     antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k, tensor_bullet_left,
     tensor_bullet_right, tensor_mul, tensor_of,
 )
-from quasisym.oracle import Polynomial, expand, expand_bullet
+from quasisym.oracle import Polynomial, _expand_basis, expand, expand_bullet
 from quasisym.products import bullet, hat_bullet, mul
 from quasisym.qss import QssPoly, qss_bullet
 
@@ -91,6 +91,29 @@ def test_mul_matches_the_oracle(a, b):
     product = expand(a, N) * expand(b, N)
     assert_stored(product)
     assert expand(out, N) == product
+
+
+def expand_m_by_adding(a, n):
+    """The expansion of an M-basis element in n variables, adding the
+    Fraction coefficients of its terms' monomials one by one."""
+    acc = {}
+    for comp, coeff in a.terms.items():
+        for mono in _expand_basis("M", n, comp):
+            acc[mono] = acc.get(mono, 0) + coeff
+    return Polynomial(n, acc)
+
+
+@SETTINGS
+@given(elements(), elements())
+def test_m_expansion_is_the_sum_of_its_terms(a, b):
+    # N below the length of a composition drops its terms, which may leave a
+    # common factor to divide out
+    for m in (to_basis(a + b, "M"), to_basis(a + b, "M") - to_basis(b, "F")):
+        assert m.basis == "M"
+        for n in range(1, max(m.degree, 0) + 2):
+            p = expand(m, n)
+            assert p == expand_m_by_adding(m, n)
+            assert_stored(p)
 
 
 @SETTINGS

@@ -107,6 +107,16 @@ def test_command_loads_no_suite_or_heavy_module(argv):
     assert not loaded & {"quasisym.suites", "quasisym.qss", "dataclasses", "json"}
 
 
+def test_oracle_loads_no_structure_constants():
+    # the oracle is the ground truth for the products and the Hopf and KP
+    # structure, so it must reach its answers without them
+    proc = run_child(code="import sys, quasisym.oracle\nprint(sorted(sys.modules))\n")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "quasisym.oracle" in loaded
+    assert not loaded & {f"quasisym.{name}" for name in ("products", "hopf", "kp", "suites", "qss")}
+
+
 def test_basis_expression_loads_only_the_algebra():
     loaded = loaded_by("eval", "M[1] * F[2]")
     assert not loaded & {"quasisym.kp", "quasisym.hopf", "quasisym.oracle"}
