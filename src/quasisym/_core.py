@@ -9,7 +9,8 @@ its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
 must be treated as read-only.  The quasi-shuffle product is commutative:
 a call with b < a forwards to (b, a), so one dict serves both orders.  Its
 keys come from ``WORDS``, which holds one shared `Composition` per word;
-callers key their results by them without a copy.  The table lives as
+``mul`` keys its result by them without a copy (other products key theirs
+by the plain tuples they build).  The table lives as
 long as the kernel cache: ``clear_caches`` empties both caches and the
 table, and ``WORDS.cache_clear`` lets a scan for caches find the table.
 """

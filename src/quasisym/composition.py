@@ -111,8 +111,8 @@ def coarsenings(c) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _coarsenings(c: Composition) -> frozenset:
-    if not c:
-        return frozenset({c})
+    if not c:  # not c itself: a plain () shares this entry with EMPTY
+        return frozenset({EMPTY})
     # per subset of kept gaps, the sums of the parts between them: already checked
     return frozenset(tuple.__new__(Composition, [sum(c[a:b]) for a, b in pairwise((0, *kept, len(c)))])
                      for r in range(len(c)) for kept in combinations(range(1, len(c)), r))

@@ -7,7 +7,10 @@ from keys to nonzero rationals.  `Sparse` stores it as `nums`, a map from
 key to nonzero int, over one `den >= 1` coprime to every numerator, so `==`
 compares one int map and one int; `.terms` is a read-only view of that
 form which works each coefficient out when it is read: an int when
-integral and a Fraction otherwise, kept nowhere.
+integral and a Fraction otherwise, kept nowhere.  The `nums` keys of a
+QSym element or tensor are words in the form they were built, plain tuples
+or Compositions, which hash and compare equal; `.terms` always shows them
+as Compositions, and nothing inside the package reads a stored key as one.
 `Sparse` also holds a space tag (the basis, the variable count, or none)
 and owns the linear structure and the printing; subclasses supply the key
 check, how two spaces meet, their product, the term order and the atom
@@ -147,30 +150,32 @@ def format_terms(pairs) -> str:
 
 # -- the sparse core -------------------------------------------------------
 
-class _Quotients(Mapping):
-    """The read-only {key: num / den} view of a form with den > 1.
+class _Terms(Mapping):
+    """The read-only {key: num / den} view of a form, each key shown through wrap.
 
-    A coefficient is built when it is read, so a large element keeps no
-    Fraction per term; two views compare by their forms.
+    A coefficient is built when it is read and a key wrapped when it is
+    iterated, so a large element keeps no Fraction and no key copy per term;
+    a lookup takes a key as stored or as shown, which hash and compare
+    equal; two views compare by their forms.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_wrap")
 
-    def __init__(self, nums: dict, den: int):
-        self._nums, self._den = nums, den
+    def __init__(self, nums: dict, den: int, wrap):
+        self._nums, self._den, self._wrap = nums, den, wrap
 
     def __getitem__(self, key):
         v = self._nums[key]
         return Fraction(v, self._den) if v % self._den else v // self._den
 
     def __iter__(self):
-        return iter(self._nums)
+        return iter(self._nums) if self._wrap is None else map(self._wrap, self._nums)
 
     def __len__(self):
         return len(self._nums)
 
     def __eq__(self, other):
-        if type(other) is _Quotients:
+        if type(other) is _Terms:
             return self._den == other._den and self._nums == other._nums
         return Mapping.__eq__(self, other)
 
@@ -186,7 +191,9 @@ class Sparse:
     Subclasses define `_key` (check one key of outside input), `_product`
     (of two operands over one space), `_order` (the sort key of a key) and
     `_atom` (the text of a key), and may redefine `_align` (bring two
-    operands to one space).  Operands meet only when their classes match
+    operands to one space) and `_wrap` (how `.terms` shows a stored key: a
+    QSym element's word, a plain tuple or a Composition in `nums`, always
+    shows as a Composition).  Operands meet only when their classes match
     exactly: a `QssPoly` is a `Polynomial` but never equals, adds to or
     multiplies with one.
     """
@@ -222,13 +229,14 @@ class Sparse:
         return self
 
     form = property(lambda self: (self.nums, self.den), doc="the pair (nums, den)")
+    _wrap = None  # keys are shown as stored
 
     @property
     def terms(self):
         """The read-only {key: coefficient} view: an int when integral, else a Fraction."""
-        if self.den == 1:
+        if self.den == 1 and self._wrap is None:
             return MappingProxyType(self.nums)
-        return _Quotients(self.nums, self.den)
+        return _Terms(self.nums, self.den, self._wrap)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -282,13 +290,10 @@ class Sparse:
     def __bool__(self):
         return bool(self.nums)
 
-    def sorted_terms(self):
-        order = self._order
-        return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
-
     def text_terms(self) -> list:
-        """(coefficient, atom text) pairs in term order."""
-        return [(coeff, self._atom(key)) for key, coeff in self.sorted_terms()]
+        """(coefficient, atom text) pairs in term order, read off the stored keys."""
+        q = self.nums if self.den == 1 else _Terms(self.nums, self.den, None)
+        return [(q[key], self._atom(key)) for key in sorted(self.nums, key=self._order)]
 
     def __repr__(self):
         return format_terms(self.text_terms())
@@ -315,14 +320,9 @@ class QSymElem(Sparse):
             raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
         Sparse.__init__(self, basis, terms)
 
-    @classmethod
-    def _words(cls, basis: str, nums: dict, den: int = 1) -> "QSymElem":
-        """Like _raw, with kernel words (valid by construction) as keys: they
-        become Compositions without re-validation."""
-        new = tuple.__new__
-        return cls._raw(basis, {new(Composition, w): v for w, v in nums.items()}, den)
-
     _key = staticmethod(Composition)
+    # a stored word is valid by construction: shown as a Composition unchecked
+    _wrap = partial(tuple.__new__, Composition)
     _order = staticmethod(canonical_key)
 
     def _align(self, other):
@@ -335,13 +335,13 @@ class QSymElem(Sparse):
 
         return mul(self, other)
 
-    def _atom(self, comp) -> str:
-        return f"{self.basis}{comp!r}" if comp else "1"
+    def _atom(self, word) -> str:
+        return f"{self.basis}{Composition.__repr__(word)}" if word else "1"
 
     @property
     def degree(self) -> int:
         """Max weight over the support; 0 for the zero element."""
-        return max((c.weight for c in self.nums), default=0)
+        return max(map(sum, self.nums), default=0)
 
 
 def monomial(basis: str, comp) -> QSymElem:
@@ -368,7 +368,7 @@ def _m(a: QSymElem) -> QSymElem:
     return a if a.basis == "M" else to_basis(a, "M")
 
 
-# the keys of an element are Compositions already, so base change calls the
+# the keys of an element are valid words already, so base change calls the
 # cached functions behind refinements and coarsenings without their check
 _TO_M = {"F": _refinements, "Mt": _coarsenings}
 

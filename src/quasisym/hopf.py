@@ -24,14 +24,6 @@ class TensorElem(Sparse):
     def __init__(self, terms=None):
         Sparse.__init__(self, None, terms)
 
-    @classmethod
-    def _words(cls, nums: dict, den: int = 1) -> "TensorElem":
-        """Like QSymElem._words, on pairs of kernel words."""
-        new = tuple.__new__
-        return cls._raw(None, {
-            (new(Composition, a), new(Composition, b)): v for (a, b), v in nums.items()
-        }, den)
-
     @staticmethod
     def _key(key) -> tuple:
         left, right = key
@@ -42,9 +34,12 @@ class TensorElem(Sparse):
         return canonical_key(key[0]), canonical_key(key[1])
 
     @staticmethod
+    def _wrap(key) -> tuple:
+        return tuple(map(QSymElem._wrap, key))
+
+    @staticmethod
     def _atom(key) -> str:
-        left, right = key
-        return f"{f'M{left!r}' if left else '1'} (x) {f'M{right!r}' if right else '1'}"
+        return " (x) ".join(f"M{Composition.__repr__(w)}" if w else "1" for w in key)
 
 
 def tensor_of(a: QSymElem, b: QSymElem) -> TensorElem:
@@ -55,7 +50,7 @@ def tensor_of(a: QSymElem, b: QSymElem) -> TensorElem:
 def coproduct(a: QSymElem) -> TensorElem:
     """Deconcatenation: Delta(M_C) = sum over C = AB of M_A (x) M_B (one C per key)."""
     m = _m(a)
-    return TensorElem._words({
+    return TensorElem._raw(None, {
         (comp[:cut], comp[cut:]): coeff
         for comp, coeff in m.nums.items()
         for cut in range(len(comp) + 1)
@@ -65,14 +60,14 @@ def coproduct(a: QSymElem) -> TensorElem:
 def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     """(a (x) b) o_k c = a (x) (b o_k c)."""
     positive_index(k, "product index")
-    return TensorElem._words(*bilinear(t.form, _m(c).form, lambda ab, C: (
+    return TensorElem._raw(None, *bilinear(t.form, _m(c).form, lambda ab, C: (
         (ab[0], w) for w in _bullet_words(k, ab[1], C))))
 
 
 def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     """c o_k (a (x) b) = (c o_k a) (x) b."""
     positive_index(k, "product index")
-    return TensorElem._words(*bilinear(_m(c).form, t.form, lambda C, ab: (
+    return TensorElem._raw(None, *bilinear(_m(c).form, t.form, lambda C, ab: (
         (w, ab[1]) for w in _bullet_words(k, C, ab[0]))))
 
 
@@ -85,7 +80,7 @@ def _leg_products(ab, cd) -> dict:
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    return TensorElem._words(*bilinear(t.form, u.form, _leg_products))
+    return TensorElem._raw(None, *bilinear(t.form, u.form, _leg_products))
 
 
 def _collapse(t: TensorElem, product) -> QSymElem:
@@ -114,7 +109,7 @@ def antipode(a: QSymElem) -> QSymElem:
     """S(M_C) = (-1)^len(C) Mt_{reverse(C)}, returned in the M basis."""
     m = _m(a)
     image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in m.nums.items()}
-    return to_basis(QSymElem._words("Mt", image, m.den), "M")
+    return to_basis(QSymElem._raw("Mt", image, m.den), "M")
 
 
 def antipode_F(c) -> QSymElem:

@@ -88,7 +88,7 @@ def h_product(m: int, n: int) -> QSymElem:
     """h_m h_n, by the first-part recursion of `_h_words` instead of `mul`."""
     m = positive_index(m, "complete homogeneous index", least=0)
     n = positive_index(n, "complete homogeneous index", least=0)
-    return QSymElem._words("M", dict(_h_words(m, n)))
+    return QSymElem._raw("M", dict(_h_words(m, n)))
 
 
 def partitions_of(n: int) -> list:

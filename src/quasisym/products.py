@@ -54,7 +54,7 @@ def _hat_words(k: int, A: tuple, B: tuple):
 
 def _bilinear(product_words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     image = partial(product_words, positive_index(k, "product index"))
-    return QSymElem._words("M", *bilinear(_m(a).form, _m(b).form, image))
+    return QSymElem._raw("M", *bilinear(_m(a).form, _m(b).form, image))
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -85,7 +85,7 @@ def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
 def reverse_map(a: QSymElem) -> QSymElem:
     """Linear extension of M_C -> M_{reverse(C)}."""
     m = _m(a)
-    return QSymElem._words("M", {c[::-1]: v for c, v in m.nums.items()}, m.den)
+    return QSymElem._raw("M", {c[::-1]: v for c, v in m.nums.items()}, m.den)
 
 
 # -- closed forms on the Mt and F bases -----------------------------------

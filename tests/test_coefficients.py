@@ -206,3 +206,19 @@ def test_results_built_from_kernel_words_are_keyed_by_compositions():
              scale(2, a), complete_h(3) - a]
     for e in elems:
         assert all(type(c) is Composition for c in e.terms)
+
+
+def test_multiplicities_survive_every_bilinear_caller():
+    """A word reached twice keeps multiplicity 2, whichever path builds it."""
+    m1, m11 = monomial("M", (1,)), monomial("M", (1, 1))
+    assert mul(m1, m1).terms == {(1, 1): 2, (2,): 1}
+    assert h_product(1, 1).terms == {(1, 1): 2, (2,): 1}
+    assert bullet(1, m1 + m11, m1 + m11).terms[(1, 1, 1, 1)] == 2
+    d = coproduct(m1)  # 1 (x) M[1] + M[1] (x) 1
+    assert tensor_mul(d, d) == TensorElem({
+        ((), (1, 1)): 2, ((), (2,)): 1, ((1,), (1,)): 2, ((1, 1), ()): 2, ((2,), ()): 1})
+    # 1 o_1 M[1] = M[1,1] + M[2] and M[1] o_1 1 = M[1,1]
+    assert m_k(1, d).terms == {(1, 1): 2, (2,): 1}
+    # F[2] = M[2] + M[1,1] and F[1,1] = M[1,1]; Mt[1,1] = M[1,1] + M[2] and Mt[2] = M[2]
+    assert to_basis(QSymElem("F", {(2,): 1, (1, 1): 1}), "M").terms == {(2,): 1, (1, 1): 2}
+    assert to_basis(QSymElem("Mt", {(2,): 1, (1, 1): 1}), "M").terms == {(2,): 2, (1, 1): 1}

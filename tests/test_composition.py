@@ -5,6 +5,7 @@ import pytest
 from quasisym.composition import (
     Composition,
     EMPTY,
+    _coarsenings,
     canonical_key,
     coarsenings,
     compositions_of,
@@ -76,6 +77,18 @@ def test_cached_refinements_check_their_parts(bad):
         refinements(bad)
     with pytest.raises(ValueError):
         coarsenings(bad)
+
+
+def test_empty_coarsening_is_a_composition_after_a_plain_tuple_call():
+    # a plain () hashes and compares equal to EMPTY, so the two share one
+    # cache entry, and the entry must not be the plain argument
+    _coarsenings.cache_clear()
+    try:
+        _coarsenings(())
+        for c in (*coarsenings(()), *coarsenings(Composition())):
+            assert type(c) is Composition
+    finally:
+        _coarsenings.cache_clear()
 
 
 def test_coarsen_refine_duality():

@@ -13,14 +13,14 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from quasisym.composition import Composition
-from quasisym.elements import QSymElem, counit, monomial, one, to_basis
+from quasisym.composition import Composition, canonical_key
+from quasisym.elements import QSymElem, counit, format_terms, monomial, one, to_basis
 from quasisym.hopf import (
-    antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k, tensor_bullet_left,
-    tensor_bullet_right, tensor_mul, tensor_of,
+    TensorElem, antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k,
+    tensor_bullet_left, tensor_bullet_right, tensor_mul, tensor_of,
 )
 from quasisym.oracle import Polynomial, _expand_basis, expand, expand_bullet
-from quasisym.products import bullet, hat_bullet, mul
+from quasisym.products import bullet, hat_bullet, mul, reverse_map
 from quasisym.qss import QssPoly, qss_bullet
 
 # Oracle variables.  Expansions in N variables decide equality for
@@ -235,3 +235,37 @@ def test_distributivity(a, b, c, m):
     for e in (tensor_of(a, b), spread, m_k(m, spread)):
         assert_stored(e)
     assert mul(c, bullet(m, a, b)) == m_k(m, spread)
+
+
+# -- the boundary contract ---------------------------------------------------
+
+def word_atom(basis, c):
+    return f"{basis}{Composition.__repr__(c)}" if c else "1"
+
+
+def assert_shown_as_compositions(e):
+    """Whatever form e stores its keys in, .terms shows Compositions (pairs of
+    them for a tensor), and printing, degree and equality agree with it."""
+    shown = dict(e.terms)
+    assert e.terms == shown
+    if type(e) is TensorElem:
+        assert all(type(c) is Composition for pair in shown for c in pair)
+        order = sorted(shown, key=lambda ab: (canonical_key(ab[0]), canonical_key(ab[1])))
+        text = [(shown[ab], " (x) ".join(word_atom("M", c) for c in ab)) for ab in order]
+        assert e == TensorElem(shown)
+    else:
+        assert all(type(c) is Composition for c in shown)
+        text = [(shown[c], word_atom(e.basis, c)) for c in sorted(shown, key=canonical_key)]
+        assert e.degree == max((c.weight for c in shown), default=0)
+        assert e == QSymElem(e.basis, shown)
+    assert repr(e) == format_terms(text)
+
+
+@SETTINGS
+@given(elements(), elements(), st.integers(1, 2), st.sampled_from(("M", "Mt", "F")))
+def test_every_result_shows_composition_keys(a, b, k, target):
+    t = coproduct(a)
+    for e in (mul(a, b), bullet(k, a, b), hat_bullet(k, a, b), to_basis(a, target), t,
+              antipode(a), reverse_map(a), tensor_of(a, b), tensor_bullet_right(t, k, b),
+              tensor_bullet_left(b, k, t)):
+        assert_shown_as_compositions(e)
