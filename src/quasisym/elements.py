@@ -292,7 +292,7 @@ class Sparse:
 
     def text_terms(self) -> list:
         """(coefficient, atom text) pairs in term order, read off the stored keys."""
-        q = self.nums if self.den == 1 else _Terms(self.nums, self.den, None)
+        q = _Terms(self.nums, self.den, None)
         return [(q[key], self._atom(key)) for key in sorted(self.nums, key=self._order)]
 
     def __repr__(self):
@@ -322,7 +322,7 @@ class QSymElem(Sparse):
 
     _key = staticmethod(Composition)
     # a stored word is valid by construction: shown as a Composition unchecked
-    _wrap = partial(tuple.__new__, Composition)
+    _wrap = staticmethod(partial(tuple.__new__, Composition))
     _order = staticmethod(canonical_key)
 
     def _align(self, other):

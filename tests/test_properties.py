@@ -269,3 +269,12 @@ def test_every_result_shows_composition_keys(a, b, k, target):
               antipode(a), reverse_map(a), tensor_of(a, b), tensor_bullet_right(t, k, b),
               tensor_bullet_left(b, k, t)):
         assert_shown_as_compositions(e)
+
+
+def test_the_key_wrap_binds_to_nothing_through_an_instance():
+    """`.terms` reads `_wrap` through the element, so the wrap must be a static
+    method: a bare `partial` binds there from Python 3.14 and warns in 3.13."""
+    e = monomial("M", (1, 2))
+    wrap = vars(QSymElem)["_wrap"].__get__(e, QSymElem)
+    assert type(wrap((1, 2))) is Composition and wrap((1, 2)) == (1, 2)
+    assert all(type(c) is Composition for c in e.terms)
