@@ -1,8 +1,13 @@
-"""The two kernels behind every exact answer.
+"""The two kernels behind every exact answer, and the oracle's monomial format.
 
 ``quasi_shuffle`` produces the multiplicity table of interleave-or-merge
 words for two compositions; ``chain_monomials`` enumerates the monomials of
 a chained-inequality summation over a finite alphabet.
+
+The oracle stores a monomial as one int, the exponent of x_i in bits
+``W*i ..``, each below ``LIMIT``: adding two keys multiplies the monomials
+and never carries into the next field, and ``check_fields`` refuses a sum
+that reaches ``LIMIT``.
 
 Results are cached and shared.  ``chain_monomials`` returns a tuple, so
 its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
@@ -15,9 +20,32 @@ long as the kernel cache: ``clear_caches`` empties both caches and the
 table, and ``WORDS.cache_clear`` lets a scan for caches find the table.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
+from struct import unpack as _unpack_fields
 
 from quasisym.composition import Composition
+
+W = 32  # bits per exponent field, which unpack reads as a struct "I"
+LIMIT = 1 << (W - 1)  # every stored exponent is below it
+
+
+def pack(mono) -> int:
+    """The key of an exponent tuple, each exponent in 0..LIMIT-1."""
+    return sum(e << W * i for i, e in enumerate(mono))
+
+
+def unpack(key: int, n: int) -> tuple:
+    """The n exponents of a key."""
+    # "<" selects struct's standard sizes: "I" is 4 bytes on every platform
+    return _unpack_fields(f"<{n}I", key.to_bytes(n * W // 8, "little"))
+
+
+def check_fields(keys, n: int):
+    """keys, each of n fields; ValueError if one holds an exponent of LIMIT or more."""
+    if reduce(or_, keys, 0) & sum(LIMIT << W * i for i in range(n)):
+        raise ValueError(f"an exponent reached {LIMIT}, which a monomial cannot hold")
+    return keys
 
 
 class _WordTable(dict):
@@ -60,38 +88,32 @@ def quasi_shuffle(a: tuple, b: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def chain_monomials(exps: tuple, strict: tuple, n: int) -> tuple:
-    """Exponent vectors of sum_{i_0 R_0 i_1 R_1 ... i_{L-1}} x_{i_0}^{e_0} ... x_{i_{L-1}}^{e_{L-1}}.
+    """Packed monomials of sum_{i_0 R_0 i_1 R_1 ... i_{L-1}} x_{i_0}^{e_0} ... x_{i_{L-1}}^{e_{L-1}}.
 
     exps gives the per-position exponents e_p; strict[p] selects < (True) or
     <= (False) between positions p and p+1; indices run over n variables.
     Distinct index tuples always yield distinct monomials, so no
-    multiplicities are needed.
+    multiplicities are needed.  Exponents summing to LIMIT or more raise
+    ValueError: a weak chain may put them all on one variable.
     """
+    if sum(exps) >= LIMIT:
+        raise ValueError(f"exponents summing to {sum(exps)} do not fit below {LIMIT}")
     length = len(exps)
     if length == 0:
-        return ((0,) * n,)
+        return (0,)
     # positions p..end still need need[p] strict increments after index i_p
     need = [0] * length
     for p in range(length - 2, -1, -1):
         need[p] = need[p + 1] + (1 if strict[p] else 0)
-    out = []
-    vec = [0] * n
-    def rec(pos, lo):
-        hi = n - need[pos]  # exclusive upper bound for this position's index
-        e = exps[pos]
-        if pos == length - 1:
-            for i in range(lo, hi):
-                vec[i] += e
-                out.append(tuple(vec))
-                vec[i] -= e
-            return
-        step = 1 if strict[pos] else 0
-        for i in range(lo, hi):
-            vec[i] += e
-            rec(pos + 1, i + step)
-            vec[i] -= e
-    rec(0, 0)
-    return tuple(out)
+    # each prefix as (its key, the least index of the next position), in
+    # lexicographic order of index tuples
+    prefixes = [(0, 0)]
+    for p in range(length - 1):
+        e, step = exps[p], 1 if strict[p] else 0
+        prefixes = [(head + (e << W * i), i + step)
+                    for head, lo in prefixes for i in range(lo, n - need[p])]
+    last = [exps[-1] << W * i for i in range(n)]
+    return tuple([head + x for head, lo in prefixes for x in last[lo:]])
 
 
 def clear_caches():

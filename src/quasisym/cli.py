@@ -131,9 +131,13 @@ class _Parser:
             name = value[: value.index("[")]
             inner = value[value.index("[") + 1 : -1].strip()
             if inner:
+                parts = [p.strip() for p in inner.split(",")]
+                if "" in parts:
+                    raise ParseError("the composition has an empty part", pos)
+                if bad := [p for p in parts if not p.isdigit()]:
+                    raise ParseError(f"composition part {bad[0]!r} is not one integer", pos)
                 try:
-                    parts = tuple(int(p) for p in inner.split(","))
-                    comp = Composition(parts)
+                    comp = Composition(int(p) for p in parts)
                 except ValueError as exc:
                     raise ParseError(str(exc), pos) from None
             else:
@@ -320,8 +324,8 @@ def _dispatch(args, out) -> int:
     if args.command == "coproduct":
         from quasisym.hopf import coproduct
 
-        for term in coproduct(evaluate(args.expr)).text_terms():
-            out.write(format_terms([term]) + "\n")
+        terms = coproduct(evaluate(args.expr)).text_terms()
+        out.write("".join(format_terms([term]) + "\n" for term in terms) or "0\n")
         return 0
     if args.command == "antipode":
         from quasisym.hopf import antipode

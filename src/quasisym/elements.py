@@ -37,15 +37,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from types import MappingProxyType
 
-from quasisym.composition import (
-    Composition,
-    EMPTY,
-    _coarsenings,
-    _refinements,
-    canonical_key,
-)
+from quasisym.composition import Composition, EMPTY, _coarsenings, _refinements, canonical_key
 
 BASES = ("M", "Mt", "F")
 
@@ -150,33 +143,40 @@ def format_terms(pairs) -> str:
 
 # -- the sparse core -------------------------------------------------------
 
-class _Terms(Mapping):
-    """The read-only {key: num / den} view of a form, each key shown through wrap.
+def _quotient(num: int, den: int):
+    """num / den as `.terms` shows it: an int when integral, else a Fraction."""
+    return Fraction(num, den) if num % den else num // den
 
-    A coefficient is built when it is read and a key wrapped when it is
-    iterated, so a large element keeps no Fraction and no key copy per term;
-    a lookup takes a key as stored or as shown, which hash and compare
-    equal; two views compare by their forms.
+
+class _Terms(Mapping):
+    """The read-only {key: coefficient} view of an element.
+
+    A key is shown through the element's `_wrap` and looked up through its
+    `_unwrap` (None: as stored), and a coefficient is built when it is read,
+    so a large element keeps no Fraction and no key copy per term.  Views of
+    one class over one space compare by their forms.
     """
 
-    __slots__ = ("_nums", "_den", "_wrap")
+    __slots__ = ("_of",)
 
-    def __init__(self, nums: dict, den: int, wrap):
-        self._nums, self._den, self._wrap = nums, den, wrap
+    def __init__(self, elem):
+        self._of = elem
 
     def __getitem__(self, key):
-        v = self._nums[key]
-        return Fraction(v, self._den) if v % self._den else v // self._den
+        e = self._of
+        return _quotient(e.nums[key if e._unwrap is None else e._unwrap(key)], e.den)
 
     def __iter__(self):
-        return iter(self._nums) if self._wrap is None else map(self._wrap, self._nums)
+        e = self._of
+        return iter(e.nums) if e._wrap is None else map(e._wrap, e.nums)
 
     def __len__(self):
-        return len(self._nums)
+        return len(self._of.nums)
 
     def __eq__(self, other):
-        if type(other) is _Terms:
-            return self._den == other._den and self._nums == other._nums
+        a = self._of
+        if type(other) is _Terms and type(b := other._of) is type(a) and b.space == a.space:
+            return a.form == b.form
         return Mapping.__eq__(self, other)
 
     def __repr__(self):
@@ -191,11 +191,11 @@ class Sparse:
     Subclasses define `_key` (check one key of outside input), `_product`
     (of two operands over one space), `_order` (the sort key of a key) and
     `_atom` (the text of a key), and may redefine `_align` (bring two
-    operands to one space) and `_wrap` (how `.terms` shows a stored key: a
+    operands to one space), `_wrap` (how `.terms` shows a stored key: a
     QSym element's word, a plain tuple or a Composition in `nums`, always
-    shows as a Composition).  Operands meet only when their classes match
-    exactly: a `QssPoly` is a `Polynomial` but never equals, adds to or
-    multiplies with one.
+    shows as a Composition) and `_unwrap` (the stored key of a shown one).
+    Operands meet only when their classes match exactly: a `QssPoly` is a
+    `Polynomial` but never equals, adds to or multiplies with one.
     """
 
     __slots__ = ("space", "nums", "den")
@@ -229,14 +229,10 @@ class Sparse:
         return self
 
     form = property(lambda self: (self.nums, self.den), doc="the pair (nums, den)")
-    _wrap = None  # keys are shown as stored
+    _wrap = _unwrap = None  # keys are shown and looked up as stored
 
-    @property
-    def terms(self):
-        """The read-only {key: coefficient} view: an int when integral, else a Fraction."""
-        if self.den == 1 and self._wrap is None:
-            return MappingProxyType(self.nums)
-        return _Terms(self.nums, self.den, self._wrap)
+    terms = property(_Terms, doc="the read-only {key: coefficient} view: an int when "
+                     "integral, else a Fraction")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -292,8 +288,9 @@ class Sparse:
 
     def text_terms(self) -> list:
         """(coefficient, atom text) pairs in term order, read off the stored keys."""
-        q = _Terms(self.nums, self.den, None)
-        return [(q[key], self._atom(key)) for key in sorted(self.nums, key=self._order)]
+        nums, den = self.form
+        return [(_quotient(nums[key], den), self._atom(key))
+                for key in sorted(nums, key=self._order)]
 
     def __repr__(self):
         return format_terms(self.text_terms())

@@ -9,16 +9,19 @@ an M-basis element is a disjoint union of its terms' monomial sets, and
 distinct compositions of length <= N have independent expansions in N
 variables; comparing expansions at N >= total degree decides equality in
 QSym (lengths never exceed weights).
+
+Inside, a monomial is one packed int (`quasisym._core`): `chain_monomials`
+emits them, a product adds them, and `nums` and `form` show them.  Exponent
+tuples appear only at the boundary: the constructor, `.terms` and printing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import accumulate
 
-from quasisym._core import chain_monomials
+from quasisym._core import LIMIT, W, chain_monomials, check_fields, pack, unpack
 from quasisym.composition import positive_index
 from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, reduced
 
@@ -26,8 +29,8 @@ from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, reduced
 class Polynomial(Sparse):
     """Sparse exact-rational polynomial in n ordered variables.
 
-    Keys are dense exponent tuples of length n; zero coefficients are
-    never stored.
+    Keys are packed monomials, shown by `.terms` as exponent tuples of
+    length n; zero coefficients are never stored.
     """
 
     __slots__ = ()
@@ -37,67 +40,48 @@ class Polynomial(Sparse):
     def __init__(self, n: int, terms=None):
         Sparse.__init__(self, positive_index(n, "variable count", least=0), terms)
 
-    def _key(self, mono) -> tuple:
-        return exponent_vector(mono, self.n)
+    def _key(self, mono) -> int:
+        return pack(exponent_vector(mono, self.n))
+
+    def _wrap(self, key) -> tuple:
+        return unpack(key, self.space)
+
+    def _unwrap(self, mono):  # a tuple no key shows as stays itself: no int key equals it
+        return pack(mono) if len(mono) == self.space and all(0 <= e < LIMIT for e in mono) else mono
 
     def _product(self, other):
-        """Exponent vectors add.  Each monomial is packed into one int, so a
-        pair of monomials costs one int addition and one numerator product:
-        one byte per exponent when every exponent of the product is below 256
-        (packed and unpacked by `int.from_bytes`/`int.to_bytes`), else the
-        base-`base` digits of the int, with `base` above every exponent."""
-        n, top = self.space, _top(self) + _top(other)
-        if top < 256:
-            def pack(monos):
-                return map(int.from_bytes, map(bytes, monos), repeat("little"))
-
-            def unpack(packed):
-                return map(tuple, map(int.to_bytes, packed, repeat(n), repeat("little")))
-        else:
-            base = top + 1
-            powers = [base ** i for i in range(n)]
-
-            def pack(monos):
-                return [sum(map(mul, mono, powers)) for mono in monos]
-
-            def unpack(packed):
-                for v in packed:
-                    mono = []
-                    for _ in powers:
-                        v, e = divmod(v, base)
-                        mono.append(e)
-                    yield tuple(mono)
-
-        right = list(zip(pack(other.nums), other.nums.values()))
+        """Exponent vectors add, and so do packed keys: a pair of monomials
+        costs one int addition and one numerator product."""
+        right = list(other.nums.items())
         acc = defaultdict(int)
-        for u, x in zip(pack(self.nums), self.nums.values()):
+        for u, x in self.nums.items():
             for v, y in right:
                 acc[u + v] += x * y
         nums, den = reduced(acc, self.den * other.den)
-        return self._raw(n, dict(zip(unpack(nums), nums.values())), den)
+        return self._raw(self.space, check_fields(nums, self.space), den)
 
     def set_last_to_zero(self) -> "Polynomial":
         """The polynomial with its last variable 0, over one variable fewer;
         for a `QssPoly` that is y_N = 0, and the result is a plain `Polynomial`."""
         n = positive_index(self.space - 1, "variable count", least=0)
         return Polynomial._raw(n, *reduced(
-            {m[:-1]: c for m, c in self.nums.items() if m[-1] == 0}, self.den))
+            {m: c for m, c in self.nums.items() if not m >> W * n}, self.den))
 
-    @staticmethod
-    def _order(mono):
+    def _order(self, key):
         # graded order, x1-dominant monomials first within a degree
+        mono = unpack(key, self.space)
         return sum(mono), tuple(-e for e in mono)
 
-    @staticmethod
-    def _atom(mono) -> str:
-        return monomial_text(x=mono)
+    def _atom(self, key) -> str:
+        return monomial_text(x=unpack(key, self.space))
 
 
 def exponent_vector(mono, n: int) -> tuple:
-    """mono as a tuple of n exponents, each an int >= 0."""
+    """mono as a tuple of n exponents, each an int in 0..LIMIT-1."""
     mono = tuple(positive_index(e, "exponent", least=0) for e in mono)
-    if len(mono) != n:
-        raise ValueError(f"bad exponent vector {mono!r} for {n} variables")
+    if len(mono) != n or max(mono, default=0) >= LIMIT:
+        raise ValueError(f"bad exponent vector {mono!r} for {n} variables: "
+                         f"each exponent must be below {LIMIT}")
     return mono
 
 
@@ -105,11 +89,6 @@ def monomial_text(**alphabets) -> str:
     """``x1^2*x3*y2`` for x=(2, 0, 1), y=(0, 1, 0); "1" for no variable."""
     return "*".join(f"{z}{i + 1}" if e == 1 else f"{z}{i + 1}^{e}"
                     for z, exps in alphabets.items() for i, e in enumerate(exps) if e) or "1"
-
-
-def _top(p: Polynomial) -> int:
-    """The largest exponent in p (0 without variables)."""
-    return max(map(max, p.nums), default=0) if p.n else 0
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -8,9 +8,9 @@ t-independent under the substitution x_i = y_i = t, the defining property
 of the supersymmetric world.
 
 A `QssPoly` is an oracle `Polynomial` over the 2N variables and shares its
-product.  Its stored key is one exponent tuple of length 2N, the x
-exponents then the y exponents (y_i at index N + i - 1); the constructor
-takes pairs (x-exponents, y-exponents).
+product.  Its stored key packs 2N exponents, the x exponents then the y
+exponents (y_i in field N + i - 1), and `.terms` shows them as one flat
+tuple of length 2N; the constructor takes pairs (x-exponents, y-exponents).
 
 `in_span`, the span test of the closure probe, is sparse elimination on
 the core's forms (`form_of`, `scaled`, `sum_forms`).
@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, partial
-from operator import add
 
+from quasisym._core import LIMIT, W, check_fields, pack, unpack
 from quasisym.composition import Composition, compositions_of, enumerate_compositions, positive_index
 from quasisym.elements import bilinear, form_of, linear, reduced, scaled, sum_forms
 from quasisym.oracle import Polynomial, exponent_vector, monomial_text
@@ -37,30 +37,38 @@ class QssPoly(Polynomial):
     def __init__(self, n: int, terms=None):
         Polynomial.__init__(self, 2 * positive_index(n, "variables per alphabet"), terms)
 
-    def _key(self, key) -> tuple:
+    def _key(self, key) -> int:
         xe, ye = key
-        return exponent_vector(xe, self.n) + exponent_vector(ye, self.n)
+        return pack(exponent_vector(xe, self.n) + exponent_vector(ye, self.n))
 
     def _atom(self, key) -> str:
-        return monomial_text(x=key[: self.n], y=key[self.n :])
+        mono = unpack(key, self.space)
+        return monomial_text(x=mono[: self.n], y=mono[self.n :])
 
 
 def qss_one(n: int) -> QssPoly:
-    zero = (0,) * positive_index(n, "variables per alphabet")
-    return QssPoly(n, {(zero, zero): 1})
+    return QssPoly._raw(2 * positive_index(n, "variables per alphabet"), {0: 1})  # key 0: x^0 y^0
 
 
-def _bullet_image(k: int, n: int, ka, kb) -> dict:
+def _exponent(r: int, what: str) -> int:
+    """r if it is an int in 1..LIMIT-1: an index that becomes an exponent."""
+    if positive_index(r, what) >= LIMIT:
+        raise ValueError(f"{what} must be below {LIMIT}, got {r}")
+    return r
+
+
+def _bullet_image(k: int, n: int, ka: int, kb: int) -> dict:
     """The monomials of M_ka o_k M_kb with their signs (see qss_bullet)."""
-    top = max((i % n for i, e in enumerate(ka) if e), default=-1)  # M(a); -1 for the constant
-    low = min((i % n for i, e in enumerate(kb) if e), default=n)  # m(b); n for the constant
-    merged = tuple(map(add, ka, kb))
-
-    def times(j):  # merged times the k-th power of the variable at flat index j
-        return merged[:j] + (merged[j] + k,) + merged[j + 1 :]
+    # a field of ka | ka >> W*n, cut to n fields, is nonzero where x_i or y_i is used
+    fa, fb = (key & ((1 << W * n) - 1) | key >> W * n for key in (ka, kb))
+    top = (fa.bit_length() - 1) // W  # M(a), the highest used field; -1 for the constant
+    low = ((fb & -fb).bit_length() - 1) // W if fb else n  # m(b); n for the constant
+    # an image is empty unless M(a) < m(b), when no field is used by both:
+    # merged holds each exponent once, and adding k < LIMIT to it carries nowhere
+    merged = ka + kb
     # x_i for M(a) < i <= m(b), y_i for M(a) <= i < m(b), all within 0..n-1
-    out = {times(i): 1 for i in range(top + 1, min(low + 1, n))}
-    out.update((times(n + i), -1) for i in range(max(top, 0), low))
+    out = {merged + (k << W * i): 1 for i in range(top + 1, min(low + 1, n))}
+    out.update((merged + (k << W * (n + i)), -1) for i in range(max(top, 0), low))
     return out
 
 
@@ -77,18 +85,18 @@ def qss_bullet(k: int, a: QssPoly, b: QssPoly) -> QssPoly:
 
     Ranges with no admissible index contribute zero.
     """
-    image = partial(_bullet_image, positive_index(k, "product index"), a.n)
+    k = _exponent(k, "product index")
     a._align(b)
-    return QssPoly._raw(a.space, *bilinear(a.form, b.form, image))
+    nums, den = bilinear(a.form, b.form, partial(_bullet_image, k, a.n))
+    return QssPoly._raw(a.space, check_fields(nums, a.space), den)
 
 
 def qss_p(r: int, n: int) -> QssPoly:
     """The generator sum_{i=1}^N (x_i^r - y_i^r); equals 1 o_r 1."""
-    positive_index(r, "generator index")
-    zero = (0,) * (2 * positive_index(n, "variables per alphabet"))
-    # x_i^r at flat index i, y_i^r at n + i
-    terms = {zero[:i] + (r,) + zero[i + 1 :]: 1 if i < n else -1 for i in range(2 * n)}
-    return QssPoly._raw(2 * n, terms)
+    r = _exponent(r, "generator index")
+    n = positive_index(n, "variables per alphabet")
+    # x_i^r in field i, y_i^r in field n + i
+    return QssPoly._raw(2 * n, {r << W * i: 1 if i < n else -1 for i in range(2 * n)})
 
 
 def qss_M(comp, n: int) -> QssPoly:
@@ -121,11 +129,11 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     if positive_index(i, "variable index", least=0) >= n:
         raise ValueError(f"index out of range: {i}")
 
+    field, xs, ys = (1 << W) - 1, W * i, W * (n + i)  # x_i in field i, y_i in field n + i
+
     def by_degree(key):
-        if key[i] + key[n + i]:
-            rest = list(key)
-            rest[i] = rest[n + i] = 0
-            yield key[i] + key[n + i], tuple(rest)
+        if d := (key >> xs & field) + (key >> ys & field):
+            yield d, key & ~(field << xs | field << ys)
     return not linear(a.form, by_degree)[0]
 
 
@@ -145,20 +153,17 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
 
     kept as an independent cross-check of qss_bullet(1, p_r, p_s).
     """
-    r, s = positive_index(r, "generator index"), positive_index(s, "generator index")
+    r, s = _exponent(r, "generator index"), _exponent(s, "generator index")
+    n = positive_index(n, "variables per alphabet")
     acc = defaultdict(int)
-    zero = (0,) * (2 * positive_index(n, "variables per alphabet"))
 
     def add_products(i, j, k, middle, sign):
-        # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s); x_i sits at flat index i,
-        # y_i at n + i, and middle is the offset of z's alphabet
+        # (x_i^r - y_i^r) * z_j * (x_k^s - y_k^s); x_i sits in field i,
+        # y_i in field n + i, and middle is the offset of z's alphabet
         for si, oi in ((1, 0), (-1, n)):
             for sk, ok in ((1, 0), (-1, n)):
-                mono = list(zero)
-                mono[oi + i] += r
-                mono[middle + j] += 1
-                mono[ok + k] += s
-                acc[tuple(mono)] += sign * si * sk
+                mono = (r << W * (oi + i)) + (1 << W * (middle + j)) + (s << W * (ok + k))
+                acc[mono] += sign * si * sk
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
@@ -166,7 +171,8 @@ def pbup_transcription(r: int, s: int, n: int) -> QssPoly:
                     add_products(i, j, k, 0, 1)
                 if j < k:
                     add_products(i, j, k, n, -1)
-    return QssPoly._raw(2 * n, *reduced(acc))
+    # r + 1 or s + 1 may reach LIMIT
+    return QssPoly._raw(2 * n, check_fields(reduced(acc)[0], 2 * n))
 
 
 def set_y_zero_x_vector(a: QssPoly):
@@ -218,6 +224,8 @@ def closure_probe(max_weight: int, n: int):
             if w > max_weight:
                 continue
             product = gen(a) * gen(b)
-            basis = [gen(c).terms for c in compositions_of(w)]
-            ok = in_span(basis, product.terms)
+            # numerators: each a nonzero multiple of its element, so the span
+            # test is the same, on stored keys
+            basis = [gen(c).nums for c in compositions_of(w)]
+            ok = in_span(basis, product.nums)
             yield (f"M{a!r}*M{b!r} in span(weight {w})", ok)

@@ -18,34 +18,14 @@ from quasisym.elements import (
     QSymElem, counit, format_terms, monomial, one, scale, to_basis,
 )
 from quasisym.hopf import (
-    antipode,
-    antipode_axiom_left,
-    antipode_axiom_right,
-    antipode_F,
-    coproduct,
-    m_k,
-    tensor_bullet_left,
-    tensor_bullet_right,
-    tensor_mul,
-    tensor_of,
+    antipode, antipode_axiom_left, antipode_axiom_right, antipode_F, coproduct, m_k,
+    tensor_bullet_left, tensor_bullet_right, tensor_mul, tensor_of,
 )
 from quasisym.kp import (
-    certify_kp,
-    complete_h,
-    kp_classical_identity,
-    kp_identity,
-    power_sum,
-    schur_substitution,
+    certify_kp, complete_h, kp_classical_identity, kp_identity, power_sum, schur_substitution,
 )
 from quasisym.oracle import Polynomial, expand, expand_bullet, poly_mul
-from quasisym.products import (
-    bullet,
-    bullet_via_first,
-    elementary_F,
-    factorize_F,
-    hat_bullet,
-    mul,
-)
+from quasisym.products import bullet, bullet_via_first, elementary_F, factorize_F, hat_bullet, mul
 from quasisym.qss import cancel_cases, closure_probe, qss_kp_check, qss_M, set_y_zero_x_vector
 
 

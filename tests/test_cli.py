@@ -292,6 +292,11 @@ def test_cli_coproduct():
     assert out == "1 (x) M[2,1]\nM[2] (x) M[1]\nM[2,1] (x) 1\n"
 
 
+@pytest.mark.parametrize("expr", ["0", "M[1] - M[1]"])
+def test_cli_coproduct_of_zero_prints_0(expr):
+    assert run_cli("coproduct", expr) == (0, "0\n", "")
+
+
 def test_cli_antipode():
     code, out, _ = run_cli("antipode", "M[2,1]")
     assert code == 0
@@ -437,6 +442,24 @@ def test_cli_domain_error_exit_2():
     code, _, err = run_cli("expand", "--vars", "0", "1")
     assert code == 2
     assert "variable count must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("expr, pos", [("M[1,]", 0), ("M[,]", 0), ("2 * M[1,,2]", 4)])
+def test_an_empty_composition_part_is_a_parse_error(expr, pos):
+    with pytest.raises(ParseError, match="the composition has an empty part") as err:
+        parse(expr)
+    assert err.value.pos == pos
+    code, out, err = run_cli("eval", expr)
+    assert (code, out) == (2, "")
+    assert err == f"parse error at position {pos}: the composition has an empty part\n"
+
+
+def test_cli_refuses_an_exponent_past_the_monomial_width():
+    # 2**31 is LIMIT: the first exponent a packed monomial cannot hold
+    code, out, err = run_cli("expand", "--vars", "1", "M[2147483648]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert run_cli("expand", "--vars", "1", "M[2147483647]") == (0, "x1^2147483647\n", "")
 
 
 @pytest.mark.parametrize("argv", [

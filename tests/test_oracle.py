@@ -1,7 +1,10 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quasisym._core import LIMIT
 from quasisym.composition import enumerate_compositions
 from quasisym.elements import monomial, one, scale, to_basis
 from quasisym.oracle import (
@@ -13,7 +16,7 @@ from quasisym.oracle import (
     poly_mul,
 )
 from quasisym.products import bullet, hat_bullet, mul
-from quasisym.qss import QssPoly
+from quasisym.qss import QssPoly, qss_bullet, qss_one, qss_p
 
 
 def M(*p):
@@ -38,7 +41,7 @@ def test_m_expansion_divides_out_the_gcd_left_by_long_compositions():
     a = M(1, 1, 1) * Fraction(1, 15) + M(2) * Fraction(1, 3)
     p = expand(a, 2)
     assert p == Polynomial(2, {(2, 0): Fraction(1, 3), (0, 2): Fraction(1, 3)})
-    assert p.form == ({(2, 0): 1, (0, 2): 1}, 3)
+    assert p.den == 3 and p.terms == {(2, 0): Fraction(1, 3), (0, 2): Fraction(1, 3)}
 
 
 def test_expand_matches_base_change():
@@ -86,7 +89,7 @@ def test_products_at_the_edge_of_one_byte_per_exponent():
     p = Polynomial(2, {(128, 0): half, (0, 1): half})
     q = Polynomial(2, {(128, 0): 1, (0, 1): -1})
     assert p * q == Polynomial(2, {(256, 0): half, (0, 2): -half})
-    assert (p * q).form == ({(256, 0): 1, (0, 2): -1}, 2)
+    assert (p * q).den == 2 and (p * q).terms == {(256, 0): half, (0, 2): -half}
     r = Polynomial(3, {(0, 255, 1): 2, (1, 0, 0): 3})
     assert r * Polynomial(3, {(0, 1, 0): 1}) == Polynomial(3, {(0, 256, 1): 2, (1, 1, 0): 3})
     assert r * Polynomial(3, {(0, 0, 0): 1}) == r
@@ -152,3 +155,68 @@ def test_polynomial_printing():
     assert repr(p) == "x1^2*x2 + x1^2*x3 + x1*x2*x3 + x2^2*x3"
     assert repr(Polynomial(2)) == "0"
     assert repr(P(2, {(0, 0): Fraction(-3, 2), (1, 0): 1})) == "-3/2 + x1"
+
+
+# -- the width of a packed monomial -----------------------------------------
+
+def test_an_exponent_of_limit_is_refused():
+    for terms in ({(LIMIT,): 1}, {(2 * LIMIT,): 1}, {(LIMIT * LIMIT,): 1}):
+        with pytest.raises(ValueError, match="exponent"):
+            Polynomial(1, terms)
+    with pytest.raises(ValueError, match="exponent"):
+        QssPoly(1, {((0,), (LIMIT,)): 1})
+    assert Polynomial(2, {(LIMIT - 1, 1): 1}).terms == {(LIMIT - 1, 1): 1}
+
+
+def test_a_product_that_reaches_limit_is_refused():
+    half = Polynomial(2, {(LIMIT // 2, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="reached"):
+        half * half  # x1^LIMIT, which would carry into x2's field
+    below = Polynomial(2, {(LIMIT // 2 - 1, 0): 1, (0, 1): -1})
+    assert half * below == Polynomial(
+        2, {(LIMIT - 1, 0): 1, (LIMIT // 2 - 1, 1): 1, (LIMIT // 2, 1): -1, (0, 2): -1})
+    with pytest.raises(ValueError, match="reached"):
+        qss_bullet(LIMIT - 1, qss_p(1, 1), qss_one(1))  # (x1 - y1) o_k 1 holds y1^(k+1)
+    assert str(qss_bullet(LIMIT - 2, qss_p(1, 1), qss_one(1))) == (
+        f"-x1*y1^{LIMIT - 2} + y1^{LIMIT - 1}")
+
+
+def test_an_index_that_becomes_an_exponent_of_limit_is_refused():
+    with pytest.raises(ValueError, match="generator index"):
+        qss_p(LIMIT, 1)
+    with pytest.raises(ValueError, match="product index"):
+        qss_bullet(LIMIT, qss_one(1), qss_one(1))
+    assert qss_p(LIMIT - 1, 1).terms == {(LIMIT - 1, 0): 1, (0, LIMIT - 1): -1}
+
+
+def reference_product(p, q) -> dict:
+    """p * q on exponent tuples, summed term pair by term pair."""
+    acc = {}
+    for u, x in p.terms.items():
+        for v, y in q.terms.items():
+            w = tuple(map(add, u, v))
+            acc[w] = acc.get(w, 0) + x * y
+    return {w: c for w, c in acc.items() if c}
+
+
+# at and around the old byte and digit boundaries, and sums near LIMIT
+wide_exponents = st.sampled_from((0, 1, 2, 3, 127, 128, 129, 255, 256,
+                                  LIMIT // 2 - 1, LIMIT // 2))
+wide_coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+wide_monomials = st.tuples(wide_exponents, wide_exponents)
+wide_polynomials = st.dictionaries(wide_monomials, wide_coefficients, max_size=3).map(
+    lambda terms: Polynomial(2, terms))
+wide_qss = st.dictionaries(st.tuples(wide_monomials, wide_monomials), wide_coefficients,
+                           max_size=3).map(lambda terms: QssPoly(2, terms))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.tuples(wide_polynomials, wide_polynomials), st.tuples(wide_qss, wide_qss)))
+def test_packed_products_match_the_tuple_product(pair):
+    p, q = pair
+    want = reference_product(p, q)
+    if any(e >= LIMIT for mono in want for e in mono):
+        with pytest.raises(ValueError, match="reached"):
+            p * q
+    else:
+        assert (p * q).terms == want

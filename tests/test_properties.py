@@ -9,10 +9,12 @@ integral.  Seeds are derandomized, so runs are repeatable.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from quasisym._core import unpack
 from quasisym.composition import Composition, canonical_key
 from quasisym.elements import QSymElem, counit, format_terms, monomial, one, to_basis
 from quasisym.hopf import (
@@ -67,7 +69,8 @@ def assert_stored(e):
     assert all(type(v) is int and v != 0 for v in nums.values())
     assert gcd(den, *nums.values()) == 1
     assert (den == 1) == all(v % den == 0 for v in nums.values())
-    assert e.terms == {k: Fraction(v, den) for k, v in nums.items()}
+    assert len(e.terms) == len(nums)
+    assert [e.terms[k] for k in e.terms] == [Fraction(v, den) for v in nums.values()]
     for v in e.terms.values():
         assert type(v) is (int if v.denominator == 1 else Fraction)
 
@@ -98,7 +101,7 @@ def expand_m_by_adding(a, n):
     Fraction coefficients of its terms' monomials one by one."""
     acc = {}
     for comp, coeff in a.terms.items():
-        for mono in _expand_basis("M", n, comp):
+        for mono in map(unpack, _expand_basis("M", n, comp), repeat(n)):
             acc[mono] = acc.get(mono, 0) + coeff
     return Polynomial(n, acc)
 
