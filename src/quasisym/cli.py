@@ -18,10 +18,10 @@ chains need explicit parentheses.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 # Only what parsing and evaluating an expression needs is imported here:
 # every other module, json included, is imported by the branch that runs
@@ -197,26 +197,38 @@ QSS_SUITES = {
 }
 
 
-class _SuiteNames:
-    """The choices of ``verify``: read, and the suites imported, only when
-    an argument is checked or the help is printed."""
+def _suite_names():
+    """The choices of ``verify``: read, and the suites imported, only when a
+    name is checked or the help is printed."""
+    from quasisym.suites import SUITES
 
-    def __iter__(self):
-        from quasisym.suites import SUITES
-
-        return iter(sorted(SUITES) + ["all"])
-
-    def __contains__(self, name):
-        return name in list(self)
+    return (*sorted(SUITES), "all")
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Wraps help text at spaces only, so that no suite name is split at a hyphen."""
-
-    def _split_lines(self, text, width):
-        import textwrap
-
-        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+# The command line: command -> (help text, positionals, options).  A
+# positional maps its name to its kind, and a long option maps itself to
+# (dest, kind, required).  A kind is int, a tuple of choices, a function that
+# returns them, or None: any word for a positional, a flag for an option.  An
+# option not given is False if a flag, else its first choice if it has
+# choices and is not required, else None.
+_EXPR, _JSON, _MAX_WEIGHT = {"expr": None}, ("json", None, False), ("max_weight", int, False)
+COMMANDS = {
+    "eval": ("evaluate an expression in the M basis", _EXPR, {}),
+    "expand": ("expand an expression in N variables", _EXPR, {"--vars": ("vars", int, True)}),
+    "convert": ("re-express in a chosen basis", _EXPR, {"--to": ("to", ("M", "Mt", "F"), True)}),
+    "coproduct": ("print the coproduct, one tensor term per line", _EXPR, {}),
+    "antipode": ("apply the antipode", _EXPR, {}),
+    "kp": ("check one member of the KP identity family; --pde also prints the corresponding "
+           "hierarchy equation, and --certify N recomputes both sides at N variables", {},
+           {"--m": ("m", int, True), "--n": ("n", int, True), "--pde": ("pde", None, False),
+            "--certify": ("certify", int, False)}),
+    "qss-verify": ("two-alphabet checks", {}, {"--N": ("nvars", int, True),
+                   "--suite": ("suite", tuple(QSS_SUITES), False), "--json": _JSON}),
+    "verify": ("run an identity suite", {"suite": _suite_names},
+               {"--max-weight": _MAX_WEIGHT, "--max": _MAX_WEIGHT,
+                "--max-k": ("max_k", int, False), "--json": _JSON}),
+}
+_HELP = ("help", None, False)  # the spec of -h and --help
 
 
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
@@ -243,61 +255,139 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     return bool(results) and ok_count == len(results)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """The parser of one command.  Every option of a command is long but -h,
-    so any other word that starts with one '-' is an argument: '-M[2]' is an
-    expression, and '-h2' is the expression -h2, not -h with the argument 2."""
+def _usage(command) -> str:
+    if command is None:
+        return "usage: quasisym [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, positionals, options = COMMANDS[command]
+    words = ["usage: quasisym", command, "[-h]"]
+    for flag, (_, kind, required) in options.items():
+        if kind is not None:
+            flag += " N" if kind is int else " {" + ",".join(kind) + "}"
+        words.append(flag if required else f"[{flag}]")
+    return " ".join(words + list(positionals))
 
-    def _parse_optional(self, arg_string):
-        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
-            return None
-        return super()._parse_optional(arg_string)
+
+def _fail(command, message):
+    """Print the usage and the error to stderr, and exit 2."""
+    prog = "quasisym" if command is None else f"quasisym {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command):
+    """Print the help of a command, or of the program when None, and exit 0."""
+    import textwrap
+
+    if command is None:
+        lines = ["Exact computer algebra for quasi-symmetric functions", "",
+                 *(f"{name}: {text}" for name, (text, _, _) in COMMANDS.items())]
+    else:
+        text, positionals, _ = COMMANDS[command]
+        lines = [text] + [f"{name}: one of {', '.join(kind())}"
+                          for name, kind in positionals.items() if kind]
+    # wrapped at spaces only, so that no suite name is split at a hyphen
+    lines = [textwrap.fill(line, 78, subsequent_indent="  ", break_on_hyphens=False)
+             for line in lines]
+    sys.stdout.write("\n".join([_usage(command), "", *lines]) + "\n")
+    raise SystemExit(0)
+
+
+def _option(command, word, options):
+    """None if word is an argument, else (the option, its spec or None if
+    there is no such option, the value after '=' or None).  Only -h and words
+    that start with '--' are options, so '-M[2]' and '-h2' are arguments; an
+    option may be cut to a prefix of one option, and a '--' word that matches
+    none but holds a space is an argument."""
+    if word == "-h":
+        return word, _HELP, None
+    if word[:2] != "--" or word == "--":
+        return None
+    name, eq, value = word.partition("=")
+    specs = {**options, "--help": _HELP}
+    flags = [name] if name in specs else [flag for flag in specs if flag.startswith(name)]
+    if len(flags) > 1:
+        _fail(command, f"ambiguous option: {name} could match {', '.join(flags)}")
+    if flags:
+        return flags[0], specs[flags[0]], value if eq else None
+    return None if " " in word else (word, None, None)
+
+
+def _value(command, name, kind, word):
+    """word read as kind: an int, or one of the choices; None takes any word."""
+    if kind is int:
+        try:
+            return int(word)
+        except ValueError:
+            _fail(command, f"argument {name}: invalid int value: {word!r}")
+    choices = kind() if callable(kind) else kind
+    if choices is not None and word not in choices:
+        _fail(command, f"argument {name}: invalid choice: {word!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+    return word
+
+
+def _parse_argv(argv) -> SimpleNamespace:
+    """The fields `_dispatch` reads: the command, and the dests and positional
+    names of the command in `COMMANDS`.  The words are read in order, so an
+    error before -h exits 2 and -h before an error prints the help; missing
+    and unrecognized arguments are reported at the end."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command and (_option(None, command, {}) or ())[1:] == (_HELP, None):
+            _help(None)
+        _fail(None, "the following arguments are required: command" if command is None else
+              f"argument command: invalid choice: {command!r} "
+              f"(choose from {', '.join(map(repr, COMMANDS))})")
+    _, positionals, options = COMMANDS[command]
+    words = list(argv[1:])
+    # every word is classed before any is read, so an ambiguous option fails
+    # even after -h; the first '--' stays '--', and every word after it is None
+    end = words.index("--") if "--" in words else len(words)
+    opts = ([_option(command, word, options) for word in words[:end]] + words[end:end + 1]
+            + [None] * (len(words) - end - 1))
+    args = {"command": command}
+    for dest, kind, required in options.values():
+        args[dest] = (False if kind is None
+                      else kind[0] if type(kind) is tuple and not required else None)
+    todo, given, extras, i, filled = list(positionals), set(), [], 0, False
+    while i < len(words):
+        word, opt, i = words[i], opts[i], i + 1
+        if opt is None and todo:
+            name = todo.pop(0)
+            args[name], filled = _value(command, name, positionals[name], word), True
+            continue
+        if opt == "--":  # a '--' next to no word that fills a positional is left over
+            if not (filled or todo and i < len(words)):
+                extras.append(word)
+        elif opt is None or opt[1] is None:
+            extras.append(word)  # an argument too many, or no such option
+        else:
+            flag, spec, value = opt
+            if spec[1] is None:
+                if value is not None:
+                    _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+                if spec is _HELP:
+                    _help(command)
+                args[spec[0]] = True
+            else:
+                if value is None:
+                    if i == len(words) or opts[i] is not None:
+                        _fail(command, f"argument {flag}: expected one argument")
+                    value, i = words[i], i + 1
+                args[spec[0]] = _value(command, flag, spec[1], value)
+            given.add(spec[0])
+        filled = False
+    missing = [flag for flag, (dest, _, required) in options.items()
+               if required and dest not in given] + todo
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="quasisym",
-        description="Exact computer algebra for quasi-symmetric functions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression in the M basis")
-    p_eval.add_argument("expr")
-
-    p_expand = sub.add_parser("expand", help="expand an expression in N variables")
-    p_expand.add_argument("--vars", type=int, required=True, metavar="N")
-    p_expand.add_argument("expr")
-
-    p_convert = sub.add_parser("convert", help="re-express in a chosen basis")
-    p_convert.add_argument("--to", choices=("M", "Mt", "F"), required=True)
-    p_convert.add_argument("expr")
-
-    p_coprod = sub.add_parser("coproduct", help="print the coproduct, one tensor term per line")
-    p_coprod.add_argument("expr")
-
-    p_anti = sub.add_parser("antipode", help="apply the antipode")
-    p_anti.add_argument("expr")
-
-    p_kp = sub.add_parser("kp", help="check one member of the KP identity family")
-    p_kp.add_argument("--m", type=int, required=True)
-    p_kp.add_argument("--n", type=int, required=True)
-    p_kp.add_argument("--pde", action="store_true", help="print the corresponding hierarchy equation")
-    p_kp.add_argument("--certify", type=int, metavar="N", help="also recompute both sides at N variables")
-
-    p_qss = sub.add_parser("qss-verify", help="two-alphabet checks")
-    p_qss.add_argument("--N", type=int, required=True, dest="nvars")
-    p_qss.add_argument("--suite", choices=tuple(QSS_SUITES), default="kp")
-    p_qss.add_argument("--json", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run an identity suite",
-                              formatter_class=_HelpFormatter)
-    p_verify.add_argument("suite", choices=_SuiteNames(), metavar="suite",
-                          help="one of: %(choices)s")
-    p_verify.add_argument("--max-weight", "--max", dest="max_weight", type=int, default=None)
-    p_verify.add_argument("--max-k", type=int, default=None)
-    p_verify.add_argument("--json", action="store_true")
-
-    args = parser.parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
 
     try:
         return _dispatch(args, sys.stdout)

@@ -33,7 +33,7 @@ and the inverse directions carry the sign (-1)^(length difference).
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -173,6 +173,12 @@ class _Terms(Mapping):
     def __len__(self):
         return len(self._of.nums)
 
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
     def __eq__(self, other):
         a = self._of
         if type(other) is _Terms and type(b := other._of) is type(a) and b.space == a.space:
@@ -181,6 +187,25 @@ class _Terms(Mapping):
 
     def __repr__(self):
         return repr(dict(self.items()))
+
+
+class _Values(ValuesView):
+    """The coefficients, read off the stored numerators: no key is looked up."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        e = self._mapping._of
+        return map(partial(_quotient, den=e.den), e.nums.values())
+
+
+class _Items(ItemsView):
+    """The (key, coefficient) pairs: the shown keys zipped with the values."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, _Values(self._mapping))
 
 
 class Sparse:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisym.cli import ParseError, _tokenize, evaluate, main, parse
+from quasisym.cli import ParseError, _parse_argv, _tokenize, evaluate, main, parse
 from quasisym.composition import Composition
 from quasisym.elements import format_elem, monomial, one
 from quasisym.kp import complete_h
@@ -471,7 +472,7 @@ def test_cli_refuses_an_exponent_past_the_monomial_width():
     ("antipode", "-M[2,1]"),
 ], ids=" ".join)
 def test_cli_expression_may_start_with_minus(argv):
-    # argparse reads such an argument as an unknown option
+    # a word that starts with one '-' is an argument, never an option
     code, out, _ = run_cli(*argv)
     assert code == 0
     assert (code, out) == run_cli(*argv[:-1], "0 " + argv[-1])[:2]
@@ -485,7 +486,7 @@ def test_cli_expression_may_start_with_minus(argv):
     ("antipode", "-h2*M[1]"),
 ], ids=" ".join)
 def test_cli_expression_may_start_with_minus_h(argv):
-    # argparse reads '-h2' as the help option with the argument 2
+    # only '-h' alone asks for help: '-h2' is the expression -h2
     code, out, _ = run_cli(*argv)
     assert code == 0
     assert (code, out) == run_cli(*argv[:-1], "0 " + argv[-1])[:2]
@@ -522,6 +523,179 @@ def test_cli_missing_or_extra_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
+
+
+
+# -- argv -----------------------------------------------------------------
+# The argparse parser the CLI used before it read argv itself, kept as the
+# reference for `_parse_argv`: both must read every argv below alike.  They
+# differ only before the command, where the reference skips an unknown option
+# and still acts on a later one: `quasisym --bogus -h` prints its help there,
+# and exits 2 here.
+
+class ReferenceCommandParser(argparse.ArgumentParser):
+    """Every option of a command is long but -h, so any other word that
+    starts with one '-' is an argument."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
+class ReferenceSuiteNames:
+    def __iter__(self):
+        from quasisym.suites import SUITES
+
+        return iter(sorted(SUITES) + ["all"])
+
+    def __contains__(self, name):
+        return name in list(self)
+
+
+def reference_argv_parser():
+    parser = argparse.ArgumentParser(prog="quasisym")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=ReferenceCommandParser)
+    for name in ("eval", "coproduct", "antipode"):
+        sub.add_parser(name).add_argument("expr")
+    p_expand = sub.add_parser("expand")
+    p_expand.add_argument("--vars", type=int, required=True, metavar="N")
+    p_expand.add_argument("expr")
+    p_convert = sub.add_parser("convert")
+    p_convert.add_argument("--to", choices=("M", "Mt", "F"), required=True)
+    p_convert.add_argument("expr")
+    p_kp = sub.add_parser("kp")
+    p_kp.add_argument("--m", type=int, required=True)
+    p_kp.add_argument("--n", type=int, required=True)
+    p_kp.add_argument("--pde", action="store_true")
+    p_kp.add_argument("--certify", type=int, metavar="N")
+    p_qss = sub.add_parser("qss-verify")
+    p_qss.add_argument("--N", type=int, required=True, dest="nvars")
+    p_qss.add_argument("--suite", choices=("kp", "cancel", "closure"), default="kp")
+    p_qss.add_argument("--json", action="store_true")
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("suite", choices=ReferenceSuiteNames(), metavar="suite")
+    p_verify.add_argument("--max-weight", "--max", dest="max_weight", type=int, default=None)
+    p_verify.add_argument("--max-k", type=int, default=None)
+    p_verify.add_argument("--json", action="store_true")
+    return parser
+
+
+def read_argv(parse, argv):
+    """The fields that parse reads from argv, or the code it exits with."""
+    import io
+    from contextlib import redirect_stdout, redirect_stderr
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+ARGVS_READ = [
+    ("eval", "M[1]"),
+    ("eval", "-M[2]"),
+    ("eval", "-h2"),
+    ("eval", "-"),
+    ("eval", ""),
+    ("eval", "--x y"),  # a '--' word that is no option and holds a space
+    ("eval", "--", "-h2"),
+    ("eval", "--", "--"),
+    ("eval", "M[1]", "--"),
+    ("expand", "--vars", "3", "M[2,1]"),
+    ("expand", "M[2,1]", "--vars", "3"),
+    ("expand", "--vars=3", "M[1]"),
+    ("expand", "--va", "3", "M[1]"),
+    ("expand", "--vars", "-1", "M[1]"),
+    ("expand", "--vars", " +7 ", "M[1]"),
+    ("expand", "--vars", "2", "--", "-M[1]"),
+    ("expand", "--vars", "2", "M[1]", "--"),
+    ("convert", "--to", "F", "M[1,1]"),
+    ("convert", "--to=Mt", "-M[1]"),
+    ("convert", "--t", "M", "M[1]"),
+    ("convert", "--t=M", "--", "-h2"),
+    ("coproduct", "M[2,1]"),
+    ("antipode", "-h2*M[1]"),
+    ("kp", "--m", "1", "--n", "2"),
+    ("kp", "--n", "2", "--m", "1", "--pde", "--certify", "5"),
+    ("kp", "--m", "1", "--n", "2", "--cert", "5"),
+    ("kp", "--m=1", "--n=2", "--p"),
+    ("kp", "--m", "1", "--n", "2", "--m", "3"),
+    ("qss-verify", "--N", "3"),
+    ("qss-verify", "--N", "3", "--suite", "closure", "--json"),
+    ("qss-verify", "--json", "--s=cancel", "--N=2"),
+    ("verify", "kp"),
+    ("verify", "all", "--json"),
+    ("verify", "--json", "kp"),
+    ("verify", "kp", "--max", "-1"),
+    ("verify", "kp", "--max", "2", "--max-weight", "3"),
+    ("verify", "kp", "--max-weight", "3", "--max", "2"),
+    ("verify", "kp", "--max-w", "2", "--max-k", "1"),
+    ("verify", "kp", "--max-k=3", "--j"),
+    ("verify", "--", "kp"),
+    ("verify", "--json", "--", "kp"),
+    # help: exit 0
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("eval", "-h"),
+    ("eval", "--help"),
+    ("eval", "--h"),
+    ("convert", "-h"),
+    ("verify", "-h", "no-such-suite"),
+    ("eval", "a", "b", "-h"),
+    ("eval", "--bogus", "-h"),
+    ("kp", "-h", "--m", "x"),
+    # usage errors: exit 2
+    (),
+    ("no-such-command",),
+    ("--", "eval", "M[1]"),
+    ("-x", "eval", "M[1]"),
+    ("--help=1",),
+    ("eval",),
+    ("eval", "a", "b"),
+    ("eval", "-M[2]", "-M[1]"),
+    ("eval", "M[2]", "--bogus"),
+    ("eval", "--bogus=1", "M[2]"),
+    ("eval", "--"),
+    ("eval", "--", "a", "b"),
+    ("eval", "-h=1"),
+    ("expand", "--vars", "x", "M[1]"),
+    ("expand", "--vars", "M[1]"),
+    ("expand", "M[1]", "--vars"),
+    ("expand", "--vars", "--", "2", "M[1]"),
+    ("expand", "--vars", "-h", "M[1]"),
+    ("expand", "--vars", "2", "--", "-M[1]", "--vars", "3"),
+    ("expand", "M[1]", "--vars", "2", "--"),
+    ("convert", "--to", "G", "M[1]"),
+    ("convert", "--to", "F"),
+    ("convert", "M[1]"),
+    ("kp", "--m", "1", "--n", "2", "-x"),
+    ("kp", "--m", "1", "--n", "2", "--pde=1"),
+    ("kp", "--m", "1", "--n", "2", "--"),
+    ("kp", "--m", "1"),
+    ("kp", "--m", "1", "--n", "2", "--help=1"),
+    ("kp", "--m", "x", "-h"),
+    ("qss-verify", "--N", "3", "--suite", "nope"),
+    ("qss-verify", "--N", "3", "--suite"),
+    ("qss-verify", "--n", "3"),
+    ("verify", "no-such-suite"),
+    ("verify", "no-such-suite", "-h"),
+    ("verify", "kp", "--ma", "2"),
+    ("verify", "-h", "--max-", "2"),
+    ("verify", "kp", "--json", "--"),
+    ("verify", "kp", "--max", "2.5"),
+    ("verify",),
+    ("verify", "kp", "all"),
+    ("verify", "kp", "--", "--max=2"),
+]
+
+
+@pytest.mark.parametrize("argv", ARGVS_READ, ids=lambda argv: " ".join(argv) or "(none)")
+def test_argv_is_read_as_the_reference_reads_it(argv):
+    assert read_argv(_parse_argv, argv) == read_argv(reference_argv_parser().parse_args, argv)
 
 
 def test_console_script_entry():

@@ -96,6 +96,26 @@ def test_fractional_terms_are_worked_out_on_read():
         hash(e.terms)
 
 
+def test_items_and_values_look_no_key_up(monkeypatch):
+    """.terms.items() and .values() read the stored numerators in key order;
+    only a lookup by a shown key unwraps it."""
+    p = expand(monomial("F", (2, 1)), 3) + Polynomial(3, {(0, 0, 1): Fraction(1, 2)})
+    calls = []
+    unwrap = Polynomial._unwrap
+    monkeypatch.setattr(Polynomial, "_unwrap",
+                        lambda self, mono: calls.append(mono) or unwrap(self, mono))
+    items, values = dict(p.terms.items()), list(p.terms.values())
+    assert calls == []
+    assert list(items) == list(p.terms) and values == list(items.values())
+    assert items[(0, 0, 1)] == Fraction(1, 2) and items[(2, 1, 0)] == 1 and len(items) == 5
+    assert len(p.terms.items()) == 5 and ((0, 0, 1), Fraction(1, 2)) in p.terms.items()
+    assert p.terms.items() & {((2, 1, 0), 1), ((2, 1, 0), 2)} == {((2, 1, 0), 1)}
+    assert calls  # membership looks its key up
+    e = QSymElem("M", {(1,): Fraction(1, 2), (2,): 3})
+    assert list(e.terms.items()) == [((1,), Fraction(1, 2)), ((2,), 3)]
+    assert all(type(key) is Composition for key, _ in e.terms.items())
+
+
 def test_equality_is_on_the_canonical_form():
     assert QSymElem("M", {(1,): Fraction(2, 4)}) == QSymElem("M", {(1,): Fraction(1, 2)})
     e = QSymElem("M", {(1,): Fraction(2, 4), (2,): Fraction(1, 3)})

@@ -91,6 +91,11 @@ def test_package_import_loads_no_submodule_until_one_is_named():
     assert proc.stdout == "[]\nTrue True\n"
 
 
+# the CLI reads argv itself: argparse, and the gettext and locale lookups of
+# its messages, are loaded by no command
+ARGV_PARSING = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "M[1] * F[2]"),
     ("eval", "h3 - p1 .1. p2"),
@@ -104,7 +109,7 @@ def test_package_import_loads_no_submodule_until_one_is_named():
 def test_command_loads_no_suite_or_heavy_module(argv):
     loaded = loaded_by(*argv)
     assert "quasisym.cli" in loaded
-    assert not loaded & {"quasisym.suites", "quasisym.qss", "dataclasses", "json"}
+    assert not loaded & {"quasisym.suites", "quasisym.qss", "dataclasses", "json", *ARGV_PARSING}
 
 
 def test_oracle_loads_no_structure_constants():
@@ -126,7 +131,13 @@ def test_basis_expression_loads_only_the_algebra():
 def test_qss_verify_loads_only_the_two_alphabet_module(suite):
     loaded = loaded_by("qss-verify", "--N", "2", "--suite", suite)
     assert "quasisym.qss" in loaded
-    assert not loaded & {"quasisym.suites", "quasisym.hopf", "quasisym.kp"}
+    assert not loaded & {"quasisym.suites", "quasisym.hopf", "quasisym.kp", *ARGV_PARSING}
+
+
+def test_verify_loads_no_argv_parsing_module():
+    loaded = loaded_by("verify", "kp", "--max", "2")
+    assert "quasisym.suites" in loaded
+    assert not loaded & ARGV_PARSING
 
 
 def test_verify_names_every_suite_on_a_bad_choice():
