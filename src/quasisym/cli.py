@@ -207,26 +207,25 @@ def _suite_names():
 
 # The command line: command -> (help text, positionals, options).  A
 # positional maps its name to its kind, and a long option maps itself to
-# (dest, kind, required).  A kind is int, a tuple of choices, a function that
-# returns them, or None: any word for a positional, a flag for an option.  An
-# option not given is False if a flag, else its first choice if it has
-# choices and is not required, else None.
-_EXPR, _JSON, _MAX_WEIGHT = {"expr": None}, ("json", None, False), ("max_weight", int, False)
+# (dest, kind, default), the default ... when the option is required.  A kind
+# is int, a tuple of choices, a function that returns them, or None: any word
+# for a positional, a flag (default False) for an option.
+_EXPR, _JSON, _MAX_WEIGHT = {"expr": None}, ("json", None, False), ("max_weight", int, None)
 COMMANDS = {
     "eval": ("evaluate an expression in the M basis", _EXPR, {}),
-    "expand": ("expand an expression in N variables", _EXPR, {"--vars": ("vars", int, True)}),
-    "convert": ("re-express in a chosen basis", _EXPR, {"--to": ("to", ("M", "Mt", "F"), True)}),
+    "expand": ("expand an expression in N variables", _EXPR, {"--vars": ("vars", int, ...)}),
+    "convert": ("re-express in a chosen basis", _EXPR, {"--to": ("to", ("M", "Mt", "F"), ...)}),
     "coproduct": ("print the coproduct, one tensor term per line", _EXPR, {}),
     "antipode": ("apply the antipode", _EXPR, {}),
     "kp": ("check one member of the KP identity family; --pde also prints the corresponding "
            "hierarchy equation, and --certify N recomputes both sides at N variables", {},
-           {"--m": ("m", int, True), "--n": ("n", int, True), "--pde": ("pde", None, False),
-            "--certify": ("certify", int, False)}),
-    "qss-verify": ("two-alphabet checks", {}, {"--N": ("nvars", int, True),
-                   "--suite": ("suite", tuple(QSS_SUITES), False), "--json": _JSON}),
+           {"--m": ("m", int, ...), "--n": ("n", int, ...), "--pde": ("pde", None, False),
+            "--certify": ("certify", int, None)}),
+    "qss-verify": ("two-alphabet checks", {}, {"--N": ("nvars", int, ...),
+                   "--suite": ("suite", tuple(QSS_SUITES), "kp"), "--json": _JSON}),
     "verify": ("run an identity suite", {"suite": _suite_names},
                {"--max-weight": _MAX_WEIGHT, "--max": _MAX_WEIGHT,
-                "--max-k": ("max_k", int, False), "--json": _JSON}),
+                "--max-k": ("max_k", int, None), "--json": _JSON}),
 }
 _HELP = ("help", None, False)  # the spec of -h and --help
 
@@ -260,10 +259,10 @@ def _usage(command) -> str:
         return "usage: quasisym [-h] {" + ",".join(COMMANDS) + "} ..."
     _, positionals, options = COMMANDS[command]
     words = ["usage: quasisym", command, "[-h]"]
-    for flag, (_, kind, required) in options.items():
+    for flag, (_, kind, default) in options.items():
         if kind is not None:
             flag += " N" if kind is int else " {" + ",".join(kind) + "}"
-        words.append(flag if required else f"[{flag}]")
+        words.append(flag if default is ... else f"[{flag}]")
     return " ".join(words + list(positionals))
 
 
@@ -345,11 +344,8 @@ def _parse_argv(argv) -> SimpleNamespace:
     end = words.index("--") if "--" in words else len(words)
     opts = ([_option(command, word, options) for word in words[:end]] + words[end:end + 1]
             + [None] * (len(words) - end - 1))
-    args = {"command": command}
-    for dest, kind, required in options.values():
-        args[dest] = (False if kind is None
-                      else kind[0] if type(kind) is tuple and not required else None)
-    todo, given, extras, i, filled = list(positionals), set(), [], 0, False
+    args = {"command": command, **{dest: default for dest, _, default in options.values()}}
+    todo, extras, i, filled = list(positionals), [], 0, False
     while i < len(words):
         word, opt, i = words[i], opts[i], i + 1
         if opt is None and todo:
@@ -375,10 +371,8 @@ def _parse_argv(argv) -> SimpleNamespace:
                         _fail(command, f"argument {flag}: expected one argument")
                     value, i = words[i], i + 1
                 args[spec[0]] = _value(command, flag, spec[1], value)
-            given.add(spec[0])
         filled = False
-    missing = [flag for flag, (dest, _, required) in options.items()
-               if required and dest not in given] + todo
+    missing = [flag for flag, (dest, _, _) in options.items() if args[dest] is ...] + todo
     if missing:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:

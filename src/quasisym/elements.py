@@ -153,8 +153,9 @@ class _Terms(Mapping):
 
     A key is shown through the element's `_wrap` and looked up through its
     `_unwrap` (None: as stored), and a coefficient is built when it is read,
-    so a large element keeps no Fraction and no key copy per term.  Views of
-    one class over one space compare by their forms.
+    so a large element keeps no Fraction and no key copy per term; `items()`
+    and `values()` read the stored numerators in order and look no key up.
+    Views of one class over one space compare by their forms.
     """
 
     __slots__ = ("_of",)
@@ -190,8 +191,6 @@ class _Terms(Mapping):
 
 
 class _Values(ValuesView):
-    """The coefficients, read off the stored numerators: no key is looked up."""
-
     __slots__ = ()
 
     def __iter__(self):
@@ -200,8 +199,6 @@ class _Values(ValuesView):
 
 
 class _Items(ItemsView):
-    """The (key, coefficient) pairs: the shown keys zipped with the values."""
-
     __slots__ = ()
 
     def __iter__(self):

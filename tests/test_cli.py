@@ -698,6 +698,17 @@ def test_argv_is_read_as_the_reference_reads_it(argv):
     assert read_argv(_parse_argv, argv) == read_argv(reference_argv_parser().parse_args, argv)
 
 
+
+def test_a_usage_error_prints_the_usage_and_the_error(capsys):
+    # an option's value is the next word only when that word is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kp", "--max", "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "usage: quasisym verify [-h] [--max-weight N] [--max N] [--max-k N] [--json] suite\n"
+        "quasisym verify: error: argument --max: expected one argument\n"))
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "quasisym.cli", "eval", "1 .2. 1"],
