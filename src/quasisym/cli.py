@@ -294,9 +294,9 @@ def _help(command):
 def _option(command, word, options):
     """None if word is an argument, else (the option, its spec or None if
     there is no such option, the value after '=' or None).  Only -h and words
-    that start with '--' are options, so '-M[2]' and '-h2' are arguments; an
-    option may be cut to a prefix of one option, and a '--' word that matches
-    none but holds a space is an argument."""
+    that start with '--' are options, so '-M[2]' and '-h2' are arguments.  An
+    option may be cut to a prefix of one option; a '--' word that is no
+    option's prefix but holds a space is an argument."""
     if word == "-h":
         return word, _HELP, None
     if word[:2] != "--" or word == "--":
@@ -358,19 +358,19 @@ def _parse_argv(argv) -> SimpleNamespace:
         elif opt is None or opt[1] is None:
             extras.append(word)  # an argument too many, or no such option
         else:
-            flag, spec, value = opt
-            if spec[1] is None:
+            flag, (dest, kind, _), value = opt
+            if kind is None:
                 if value is not None:
                     _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
-                if spec is _HELP:
+                if opt[1] is _HELP:
                     _help(command)
-                args[spec[0]] = True
+                args[dest] = True
             else:
                 if value is None:
                     if i == len(words) or opts[i] is not None:
                         _fail(command, f"argument {flag}: expected one argument")
                     value, i = words[i], i + 1
-                args[spec[0]] = _value(command, flag, spec[1], value)
+                args[dest] = _value(command, flag, kind, value)
         filled = False
     missing = [flag for flag, (dest, _, _) in options.items() if args[dest] is ...] + todo
     if missing:
