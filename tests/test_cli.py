@@ -525,7 +525,6 @@ def test_cli_missing_or_extra_arguments_exit_2(argv):
     assert exc.value.code == 2
 
 
-
 # -- argv -----------------------------------------------------------------
 # The argparse parser the CLI used before it read argv itself, kept as the
 # reference for `_parse_argv`: both must read every argv below alike.  They
@@ -696,7 +695,6 @@ ARGVS_READ = [
 @pytest.mark.parametrize("argv", ARGVS_READ, ids=lambda argv: " ".join(argv) or "(none)")
 def test_argv_is_read_as_the_reference_reads_it(argv):
     assert read_argv(_parse_argv, argv) == read_argv(reference_argv_parser().parse_args, argv)
-
 
 
 def test_a_usage_error_prints_the_usage_and_the_error(capsys):

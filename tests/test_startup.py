@@ -91,8 +91,8 @@ def test_package_import_loads_no_submodule_until_one_is_named():
     assert proc.stdout == "[]\nTrue True\n"
 
 
-# the CLI reads argv itself: argparse, and the gettext and locale lookups of
-# its messages, are loaded by no command
+# argparse, and gettext and locale, which its messages load: the CLI reads
+# argv itself, so no command loads them
 ARGV_PARSING = {"argparse", "gettext", "locale"}
 
 
