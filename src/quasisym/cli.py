@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
-# Only what parsing and evaluating an expression needs is imported here:
-# every other module, json included, is imported by the branch that runs
-# it, because a module is compiled from source in each process whenever
-# its bytecode cannot be cached.
+# Only what parsing and evaluating a sum of scaled basis elements needs is
+# imported here: every other module, products, fractions and json included,
+# is imported by the branch that runs it, because a module is compiled from
+# source in each process whenever its bytecode cannot be cached.
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, format_elem, format_terms, monomial, one, scale, to_basis
-from quasisym.products import bullet, hat_bullet, mul
+from quasisym.elements import QSymElem, format_elem, format_ratios, monomial, reduced, to_basis
 
 
 class ParseError(ValueError):
@@ -66,7 +65,8 @@ def _tokenize(text: str):
     return tokens
 
 
-# AST: ("num", Fraction) ("basis", name, Composition) ("named", "p"|"h", int)
+# AST: ("num", numerator, denominator), two ints in lowest terms, den >= 1
+#      ("basis", name, Composition) ("named", "p"|"h", int)
 #      ("neg", node) ("add"/"sub", a, b) ("mul", a, b)
 #      ("bullet", k, a, b) ("hat", k, a, b)
 
@@ -119,12 +119,12 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.take()
         if kind == "number":
-            if "/" in value:
-                num, den = value.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", pos)
-                return ("num", Fraction(int(num), int(den)))
-            return ("num", Fraction(int(value)))
+            num, _, den = value.partition("/")
+            num, den = int(num), int(den or 1)
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            g = gcd(num, den)
+            return ("num", num // g, den // g)
         if kind == "named":
             return ("named", value[0], int(value[1:]))
         if kind == "atom":
@@ -160,7 +160,7 @@ def eval_expr(node) -> QSymElem:
     """Evaluate an AST in the M basis."""
     kind = node[0]
     if kind == "num":
-        return scale(node[1], one())
+        return QSymElem._raw("M", {(): node[1]} if node[1] else {}, node[2])
     if kind == "basis":
         return to_basis(monomial(node[1], node[2]), "M")
     if kind == "named":
@@ -176,10 +176,21 @@ def eval_expr(node) -> QSymElem:
     if kind == "sub":
         return eval_expr(node[1]) - eval_expr(node[2])
     if kind == "mul":
-        return mul(eval_expr(node[1]), eval_expr(node[2]))
+        a, b = eval_expr(node[1]), eval_expr(node[2])
+        for c, x in ((a, b), (b, a)):
+            if c.nums.keys() <= {()}:  # a constant, whose only word is the empty one
+                nums = {k: v * c.nums.get((), 0) for k, v in x.nums.items()}
+                return QSymElem._raw("M", *reduced(nums, c.den * x.den))
+        from quasisym.products import mul
+
+        return mul(a, b)
     if kind == "bullet":
+        from quasisym.products import bullet
+
         return bullet(node[1], eval_expr(node[2]), eval_expr(node[3]))
     if kind == "hat":
+        from quasisym.products import hat_bullet
+
         return hat_bullet(node[1], eval_expr(node[2]), eval_expr(node[3]))
     raise ValueError(f"bad AST node {node!r}")
 
@@ -409,7 +420,7 @@ def _dispatch(args, out) -> int:
         from quasisym.hopf import coproduct
 
         terms = coproduct(evaluate(args.expr)).text_terms()
-        out.write("".join(format_terms([term]) + "\n" for term in terms) or "0\n")
+        out.write("".join(format_ratios([term]) + "\n" for term in terms) or "0\n")
         return 0
     if args.command == "antipode":
         from quasisym.hopf import antipode

@@ -7,7 +7,9 @@ from keys to nonzero rationals.  `Sparse` stores it as `nums`, a map from
 key to nonzero int, over one `den >= 1` coprime to every numerator, so `==`
 compares one int map and one int; `.terms` is a read-only view of that
 form which works each coefficient out when it is read: an int when
-integral and a Fraction otherwise, kept nowhere.  The `nums` keys of a
+integral and a Fraction otherwise, kept nowhere.  Printing reads the
+form itself and builds no Fraction, and `fractions` is imported only when
+a Fraction is built.  The `nums` keys of a
 QSym element or tensor are words in the form they were built, plain tuples
 or Compositions, which hash and compare equal; `.terms` always shows them
 as Compositions, and nothing inside the package reads a stored key as one.
@@ -32,9 +34,9 @@ and the inverse directions carry the sign (-1)^(length difference).
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from collections.abc import ItemsView, Mapping, ValuesView
-from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
@@ -47,11 +49,28 @@ BASES = ("M", "Mt", "F")
 # A form is (nums, den): nonzero int numerators over one den >= 1 coprime to
 # them all.  A coefficient map is {key: int or Fraction}, as `.terms` shows.
 
+# Fraction once `fractions` is loaded; until then the empty tuple, which
+# nothing is an instance of, as no Fraction exists before its module loads
+_Fraction = ()
+
+
+def _fraction_class(load: bool = False):
+    """Fraction once `fractions` is loaded, which load does; else ().
+
+    A type check tests the bound value first and calls this only when that
+    test fails, so no check runs an import statement or a lookup per call.
+    """
+    global _Fraction
+    if not _Fraction and (load or "fractions" in sys.modules):
+        from fractions import Fraction as _Fraction
+    return _Fraction
+
+
 def coefficient(x):
     """x in stored form: an int when integral, else a Fraction; floats raise."""
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, _Fraction) or isinstance(x, _fraction_class()):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
@@ -125,27 +144,35 @@ def linear(form, image) -> tuple:
 
 # -- printing --------------------------------------------------------------
 
-def format_terms(pairs) -> str:
-    """Signed text of (coefficient, atom) pairs, e.g. ``2*M[1,1] - 3/2*M[2]``.
+def format_ratios(triples) -> str:
+    """Signed text of (numerator, denominator, atom) triples, denominators
+    >= 1, e.g. ``2*M[1,1] - 3/2*M[2]``; each ratio is reduced by one gcd.
 
     The atom "1" stands for the unit and prints as its coefficient alone.
     """
     pieces = []
-    for coeff, atom in pairs:
-        mag = abs(coeff)
-        body = str(mag) if atom == "1" else atom if mag == 1 else f"{mag}*{atom}"
+    for num, den, atom in triples:
+        if den != 1 and (g := gcd(num, den)) != 1:
+            num, den = num // g, den // g
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        body = mag if atom == "1" else atom if mag == "1" else f"{mag}*{atom}"
         if pieces:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         else:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
     return " ".join(pieces) or "0"
+
+
+def format_terms(pairs) -> str:
+    """Signed text of (coefficient, atom) pairs, each coefficient an int or a Fraction."""
+    return format_ratios((c.numerator, c.denominator, atom) for c, atom in pairs)
 
 
 # -- the sparse core -------------------------------------------------------
 
-def _quotient(num: int, den: int):
-    """num / den as `.terms` shows it: an int when integral, else a Fraction."""
-    return Fraction(num, den) if num % den else num // den
+def _quotient(fraction, den: int, num: int):
+    """num / den as `.terms` shows it: an int when integral, else fraction(num, den)."""
+    return fraction(num, den) if num % den else num // den
 
 
 class _Terms(Mapping):
@@ -165,7 +192,8 @@ class _Terms(Mapping):
 
     def __getitem__(self, key):
         e = self._of
-        return _quotient(e.nums[key if e._unwrap is None else e._unwrap(key)], e.den)
+        num = e.nums[key if e._unwrap is None else e._unwrap(key)]
+        return num if e.den == 1 else _quotient(_fraction_class(True), e.den, num)
 
     def __iter__(self):
         e = self._of
@@ -195,7 +223,9 @@ class _Values(ValuesView):
 
     def __iter__(self):
         e = self._mapping._of
-        return map(partial(_quotient, den=e.den), e.nums.values())
+        if e.den == 1:
+            return iter(e.nums.values())
+        return map(partial(_quotient, _fraction_class(True), e.den), e.nums.values())
 
 
 class _Items(ItemsView):
@@ -291,7 +321,7 @@ class Sparse:
         return self.__rmul__(other)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, (int, _Fraction)) or isinstance(scalar, _fraction_class()):
             return self._raw(self.space, *scaled(scalar, self.form))
         return NotImplemented
 
@@ -309,13 +339,13 @@ class Sparse:
         return bool(self.nums)
 
     def text_terms(self) -> list:
-        """(coefficient, atom text) pairs in term order, read off the stored keys."""
+        """(numerator, denominator, atom text) triples in term order, read off
+        the stored form unreduced, as `format_ratios` prints them."""
         nums, den = self.form
-        return [(_quotient(nums[key], den), self._atom(key))
-                for key in sorted(nums, key=self._order)]
+        return [(nums[key], den, self._atom(key)) for key in sorted(nums, key=self._order)]
 
     def __repr__(self):
-        return format_terms(self.text_terms())
+        return format_ratios(self.text_terms())
 
 
 # the slots' own setters: __setattr__ refuses every write

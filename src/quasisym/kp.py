@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 
 from quasisym.composition import Composition, canonical_key, compositions_of, positive_index
@@ -104,6 +103,8 @@ def elementary_schur(n: int) -> dict:
     sum k m_k = n is 1 / prod m_k!.  Substituting t_k = p_k / k recovers
     h_n (equivalently h_n = sum over partitions of p_lambda / z_lambda).
     """
+    from fractions import Fraction
+
     out = {}
     for lam in partitions_of(positive_index(n, "elementary Schur index", least=0)):
         coeff = Fraction(1)
@@ -115,6 +116,8 @@ def elementary_schur(n: int) -> dict:
 
 def schur_substitution(n: int) -> QSymElem:
     """s_n(p_1, p_2/2, p_3/3, ...) multiplied out in QSym."""
+    from fractions import Fraction
+
     acc = QSymElem("M", {})
     for lam, coeff in elementary_schur(n).items():
         term = one()
@@ -221,9 +224,14 @@ def h_in_p(n: int) -> PowerSums:
     """h_n over the power sums: p_lambda with coefficient 1 / z_lambda.
 
     n >= 1: h_0 has nonzero counit, so it appears only inside ordinary products.
+    z_lambda is the product of the parts and of m_k! for each part k of
+    multiplicity m_k.  Over den, the lcm of the z_lambda, the numerators
+    den // z_lambda share no prime p: den / p would be a smaller multiple.
     """
-    schur = elementary_schur(positive_index(n, "power-sum expansion index"))
-    return PowerSums({lam: coeff / math.prod(lam) for lam, coeff in schur.items()})
+    z = {tuple(lam): math.prod(lam) * math.prod(math.factorial(lam.count(k)) for k in set(lam))
+         for lam in partitions_of(positive_index(n, "power-sum expansion index"))}
+    den = math.lcm(*z.values())
+    return PowerSums._raw(None, {lam: den // zl for lam, zl in z.items()}, den)
 
 
 def sigma(x: PowerSums) -> Sigma:

@@ -19,7 +19,6 @@ the core's forms (`form_of`, `scaled`, `sum_forms`).
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import cache, partial
 
 from quasisym._core import LIMIT, W, check_fields, pack, unpack
@@ -187,8 +186,8 @@ def in_span(vectors, target) -> bool:
     vectors (any iterable) and target are maps key -> coefficient over any
     shared key space.  Each vector in turn is reduced by the pivots of the
     vectors before it, and a nonzero remainder adds a pivot: a key of its
-    support, with its form.  target is in the span exactly when it reduces
-    to zero.
+    support, with its numerators.  target is in the span exactly when it
+    reduces to zero.
     """
     pivots = {}
 
@@ -196,16 +195,20 @@ def in_span(vectors, target) -> bool:
         nums, den = reduced(*form_of(terms))  # zero coefficients dropped
         # in pivot order: a pivot's form is zero at every earlier pivot's
         # key, so a key once cleared stays clear
-        for key, (pnums, pden) in pivots.items():
+        for key, pivot in pivots.items():
             if key in nums:
-                r = Fraction(-nums[key] * pden, den * pnums[key])
-                nums, den = sum_forms((nums, den), scaled(r, (pnums, pden)))
+                # nums/den - (a/den) / (c/pden) * pivot/pden, with a and c the
+                # numerators at key: pden cancels, and c is made positive
+                a, c = nums[key], pivot[key]
+                if c < 0:
+                    a, c = -a, -c
+                nums, den = sum_forms((nums, den), scaled(-a, (pivot, den * c)))
         return nums, den
 
     for v in vectors:
         nums, den = remainder(v)
         if nums:
-            pivots[next(iter(nums))] = nums, den
+            pivots[next(iter(nums))] = nums
     return not remainder(target)[0]
 
 

@@ -9,13 +9,12 @@ lhs with rhs, and `run_suite` returns (label, verdict) 2-tuples, which the CLI
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import product
 
 from quasisym.composition import Composition, enumerate_compositions, positive_index
 from quasisym.elements import (
-    QSymElem, counit, format_terms, monomial, one, scale, to_basis,
+    QSymElem, counit, format_ratios, monomial, one, scale, to_basis,
 )
 from quasisym.hopf import (
     antipode, antipode_axiom_left, antipode_axiom_right, antipode_F, coproduct, m_k,
@@ -41,7 +40,7 @@ class Residual:
 
     def __str__(self):
         terms = self.diff.text_terms()
-        shown = format_terms(terms[:3]) + (" + ..." if len(terms) > 3 else "")
+        shown = format_ratios(terms[:3]) + (" + ..." if len(terms) > 3 else "")
         return f"{shown} ({len(terms)} term{'' if len(terms) == 1 else 's'})"
 
 
@@ -224,6 +223,7 @@ def suite_kp_classical(certify_nvars: int = 4):
 
 def suite_newton(max_n: int = 6):
     """h_n against Newton's recursion, Mt[1^n] and the Schur substitution."""
+    from fractions import Fraction
 
     @lru_cache(maxsize=None)
     def newton(n: int) -> QSymElem:

@@ -147,8 +147,9 @@ class ReferenceParser:
                 num, den = value.split("/")
                 if int(den) == 0:
                     raise ParseError("zero denominator", pos)
-                return ("num", Fraction(int(num), int(den)))
-            return ("num", Fraction(int(value)))
+                q = Fraction(int(num), int(den))
+                return ("num", q.numerator, q.denominator)
+            return ("num", int(value), 1)
         if kind == "named":
             return ("named", value[0], int(value[1:]))
         if kind == "atom":

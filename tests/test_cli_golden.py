@@ -3,7 +3,9 @@
 The expected strings were captured from the CLI before coefficients became
 int-or-Fraction; printing must not depend on how a coefficient is stored.
 The qss-verify reports were captured while two-alphabet polynomials still
-had their own product and key format.
+had their own product and key format.  The cases on number literals were
+captured while a literal was still parsed into a Fraction and every
+coefficient printed through one.
 """
 
 import pytest
@@ -69,6 +71,14 @@ GOLDEN = [
         "-M[2] (x) 1\n"
         "2*M[1,1] (x) 1\n",
     ),
+    (["eval", "4/6*M[1] + 0/3*M[2]"], "2/3*M[1]\n"),
+    (["eval", "-4/6"], "-2/3\n"),
+    (["eval", "M[1,2] * 1/2"], "1/2*M[1,2]\n"),
+    (["eval", "2/3 * 3/2 * F[2]"], "M[2] + M[1,1]\n"),
+    (["eval", "2 .1. 3"], "6*M[1]\n"),
+    (["eval", "1/2 ^1^ M[1]"], "1/2*M[1,1]\n"),
+    (["coproduct", "3/2"], "3/2*1 (x) 1\n"),
+    (["convert", "--to", "Mt", "2/4"], "1/2\n"),
     (["antipode", "3/2*M[1,2] - 1/3*Mt[3]"], "11/6*M[3] + 3/2*M[2,1]\n"),
     (["antipode", "-1/3*F[2,1] + 2*M[1]"], "-2*M[1] + 1/3*M[2,1] + 1/3*M[1,1,1]\n"),
     (

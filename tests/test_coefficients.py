@@ -5,11 +5,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisym.composition import (
     Composition, compositions_of, elementary_compose, enumerate_compositions,
 )
-from quasisym.elements import QSymElem, coefficient, monomial, scale, to_basis
+from quasisym.elements import (
+    QSymElem, coefficient, format_ratios, format_terms, monomial, scale, to_basis,
+)
 from quasisym.hopf import (
     TensorElem, antipode, coproduct, counit_left, m_k, tensor_bullet_left, tensor_bullet_right,
     tensor_mul, tensor_of,
@@ -31,6 +34,44 @@ def test_coefficient_normal_form():
     for bad in (0.5, 1.0, "1/2", None, complex(1, 0)):
         with pytest.raises(TypeError):
             coefficient(bad)
+
+
+def reference_format(pairs) -> str:
+    """The text of (coefficient, atom) pairs as it was printed while every
+    coefficient went through str(Fraction)."""
+    pieces = []
+    for coeff, atom in pairs:
+        mag = abs(Fraction(coeff))
+        body = str(mag) if atom == "1" else atom if mag == 1 else f"{mag}*{atom}"
+        if pieces:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            pieces.append(body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
+
+
+ATOMS = st.sampled_from(["1", "M[2,1]", "x1*x2^3", "1 (x) M[1]", "phi_{t1}*phi_{t2}"])
+NUMERATORS = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
+DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 10**30))
+# (numerator, denominator) pairs, unreduced; one strategy in two has magnitude 1
+RATIOS = st.one_of(st.tuples(NUMERATORS, DENOMINATORS),
+                   st.builds(lambda d, sign: (sign * d, d), DENOMINATORS, st.sampled_from((1, -1))))
+PRINTING = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@PRINTING
+@given(st.lists(st.tuples(RATIOS, ATOMS), max_size=4))
+def test_ratios_print_as_their_fractions(terms):
+    triples = [(num, den, atom) for (num, den), atom in terms]
+    assert format_ratios(triples) == reference_format(
+        [(Fraction(num, den), atom) for num, den, atom in triples])
+
+
+@PRINTING
+@given(st.lists(st.tuples(st.one_of(NUMERATORS, st.builds(Fraction, NUMERATORS, DENOMINATORS)),
+                          ATOMS), max_size=4))
+def test_int_and_fraction_coefficients_print_as_before(pairs):
+    assert format_terms(pairs) == reference_format(pairs)
 
 
 @pytest.mark.parametrize("build", [

@@ -112,6 +112,44 @@ def test_command_loads_no_suite_or_heavy_module(argv):
     assert not loaded & {"quasisym.suites", "quasisym.qss", "dataclasses", "json", *ARGV_PARSING}
 
 
+# the coefficients are int numerators over one denominator: no command parses
+# or prints a rational through fractions, which loads decimal and numbers too
+RATIONAL = "3/2*M[1,2] - 1/3*F[2,1]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", RATIONAL),
+    ("convert", "--to", "F", RATIONAL),
+    ("coproduct", RATIONAL),
+    ("antipode", RATIONAL),
+    ("expand", "--vars", "3", RATIONAL),
+    ("eval", "h3 - 1/2*p2"),
+    ("kp", "--m", "1", "--n", "2", "--pde", "--certify", "5"),
+    ("qss-verify", "--N", "3", "--suite", "kp"),
+    ("qss-verify", "--N", "3", "--suite", "cancel"),
+    ("qss-verify", "--N", "3", "--suite", "closure"),
+    ("verify", "antipode"),
+], ids=" ".join)
+def test_command_loads_no_fractions(argv):
+    loaded = loaded_by(*argv)
+    assert "quasisym.cli" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
+SCALED = [
+    (("convert", "--to", "F", "3/2*M[1,2]"), {"quasisym.products", "quasisym._core"}),
+    (("expand", "--vars", "3", "1/2*M[1,2]"), {"quasisym.products"}),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", SCALED, ids=[" ".join(a) for a, _ in SCALED])
+def test_a_number_times_an_element_loads_no_product(argv, unloaded):
+    # a constant factor scales the other operand: no structure constants
+    loaded = loaded_by(*argv)
+    assert "quasisym.cli" in loaded
+    assert not loaded & unloaded
+
+
 def test_oracle_loads_no_structure_constants():
     # the oracle is the ground truth for the products and the Hopf and KP
     # structure, so it must reach its answers without them
