@@ -56,7 +56,7 @@ DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 10**30))
 # (numerator, denominator) pairs, unreduced; one strategy in two has magnitude 1
 RATIOS = st.one_of(st.tuples(NUMERATORS, DENOMINATORS),
                    st.builds(lambda d, sign: (sign * d, d), DENOMINATORS, st.sampled_from((1, -1))))
-PRINTING = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+PRINTING = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
 @PRINTING
