@@ -156,18 +156,33 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
+# An atom whose M-basis expansion would have more than 2^ATOM_CEILING terms
+# is refused before anything is built; no golden or test comes near it.
+ATOM_CEILING = 24
+
+
+def _refuse_large(atom: str, log2_terms: int):
+    if log2_terms > ATOM_CEILING:
+        raise ValueError(f"{atom} has 2^{log2_terms} terms in the M basis, "
+                         f"more than the ceiling of 2^{ATOM_CEILING}")
+
+
 def eval_expr(node) -> QSymElem:
     """Evaluate an AST in the M basis."""
     kind = node[0]
     if kind == "num":
         return QSymElem._raw("M", {(): node[1]} if node[1] else {}, node[2])
     if kind == "basis":
-        return to_basis(monomial(node[1], node[2]), "M")
+        name, comp = node[1], node[2]
+        log2_terms = {"M": 0, "Mt": len(comp) - 1, "F": comp.weight - len(comp)}[name]
+        _refuse_large(f"{name}{comp!r}", log2_terms)
+        return to_basis(monomial(name, comp), "M")
     if kind == "named":
         from quasisym.kp import complete_h, power_sum
 
         if node[1] == "p":
             return power_sum(node[2])
+        _refuse_large(f"h{node[2]}", node[2] - 1)  # one term per composition of n
         return complete_h(node[2])
     if kind == "neg":
         return -eval_expr(node[1])

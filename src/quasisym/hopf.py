@@ -6,14 +6,17 @@ a derivation of those products, which is what the derivation and
 distributivity checks in the test suite exercise.  The antipode is the
 signed reversal M_C -> (-1)^len(C) Mt_{reverse(C)} and interacts with the
 graded products by exchanging left and right with a sign.
+
+`products` and the kernel are imported once per call by the functions that
+multiply, so the `coproduct` and `antipode` commands compile neither.
 """
 
 from __future__ import annotations
 
-from quasisym._core import quasi_shuffle
+from functools import partial
+
 from quasisym.composition import Composition, canonical_key, omega, positive_index
 from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, monomial, reduced, to_basis
-from quasisym.products import _bullet_words, bullet, mul
 
 
 class TensorElem(Sparse):
@@ -59,6 +62,8 @@ def coproduct(a: QSymElem) -> TensorElem:
 
 def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     """(a (x) b) o_k c = a (x) (b o_k c)."""
+    from quasisym.products import _bullet_words
+
     positive_index(k, "product index")
     return TensorElem._raw(None, *bilinear(t.form, _m(c).form, lambda ab, C: (
         (ab[0], w) for w in _bullet_words(k, ab[1], C))))
@@ -66,12 +71,14 @@ def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
 
 def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     """c o_k (a (x) b) = (c o_k a) (x) b."""
+    from quasisym.products import _bullet_words
+
     positive_index(k, "product index")
     return TensorElem._raw(None, *bilinear(_m(c).form, t.form, lambda C, ab: (
         (w, ab[1]) for w in _bullet_words(k, C, ab[0]))))
 
 
-def _leg_products(ab, cd) -> dict:
+def _leg_products(quasi_shuffle, ab, cd) -> dict:
     """(a (x) b)(c (x) d) = ac (x) bd on basis tensors, through the kernel."""
     (a, b), (c, d) = ab, cd
     right = quasi_shuffle(b, d).items()
@@ -80,7 +87,9 @@ def _leg_products(ab, cd) -> dict:
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    return TensorElem._raw(None, *bilinear(t.form, u.form, _leg_products))
+    from quasisym._core import quasi_shuffle
+
+    return TensorElem._raw(None, *bilinear(t.form, u.form, partial(_leg_products, quasi_shuffle)))
 
 
 def _collapse(t: TensorElem, product) -> QSymElem:
@@ -92,6 +101,8 @@ def _collapse(t: TensorElem, product) -> QSymElem:
 
 def m_k(k: int, t: TensorElem) -> QSymElem:
     """Collapse a tensor through o_k: sends a (x) b to a o_k b."""
+    from quasisym.products import bullet
+
     return _collapse(t, lambda a, b: bullet(k, a, b))
 
 
@@ -122,15 +133,21 @@ def antipode_F(c) -> QSymElem:
 
 def antipode_axiom_left(a: QSymElem) -> QSymElem:
     """mu (id (x) S) Delta applied to a; equals counit(a) * 1 for the antipode."""
+    from quasisym.products import mul
+
     return _collapse(coproduct(a), lambda left, right: mul(left, antipode(right)))
 
 
 def antipode_axiom_right(a: QSymElem) -> QSymElem:
     """mu (S (x) id) Delta applied to a."""
+    from quasisym.products import mul
+
     return _collapse(coproduct(a), lambda left, right: mul(antipode(left), right))
 
 
 def derivation_delta(n: int, a: QSymElem) -> QSymElem:
     """delta_n(a) = p_n a = m_n(Delta(a)): a commuting family of derivations
     of every o_k."""
+    from quasisym.products import mul
+
     return mul(monomial("M", (positive_index(n, "derivation index"),)), a)

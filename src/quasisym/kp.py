@@ -35,6 +35,16 @@ part i from all compositions of m leaves all compositions of m - i, so
 where (i).X puts the part i in front of every word of X and h_0 = 1.
 That costs O(m n) passes over the smaller products instead of one
 quasi-shuffle per pair of the 2^(m-1) 2^(n-1) composition pairs.
+
+A family run computes each term once.  With S(m, n) the written sum
+sum_{k=1}^m h_k o (h_{m-k} h_n), member (m, n) has the right side
+S(m, n) - S(n, m), so member (n, m) is member (m, n) negated term by term
+and the diagonal members subtract a sum from itself.  `_bullet_sum` keeps
+S(m, n) per ordered pair and `_oracle_sum` its expansion per (m, n, N);
+`_oracle_lhs` keeps the expanded left side e(h_m) e(h_{n+1}) -
+e(h_{m+1}) e(h_n) per unordered member and N, negated for the swapped
+member.  Each member still compares its two sides, and its results are
+new objects: the cached numerators are read-only mappings.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import lru_cache
+from types import MappingProxyType
 
 from quasisym.composition import Composition, canonical_key, compositions_of, positive_index
 from quasisym.elements import (
@@ -127,14 +138,48 @@ def schur_substitution(n: int) -> QSymElem:
     return acc
 
 
+def _shared(form) -> tuple:
+    """A form whose numerators cannot be written: a cached entry is shared."""
+    nums, den = form
+    return MappingProxyType(nums), den
+
+
+@lru_cache(maxsize=None)
+def _bullet_sum(m: int, n: int) -> tuple:
+    """The form of S(m, n) = sum_{k=1}^m h_k o (h_{m-k} h_n), per ordered (m, n)."""
+    return _shared(sum_forms(
+        *(bullet(1, complete_h(k), h_product(m - k, n)).form for k in range(1, m + 1))))
+
+
 def kp_identity(m: int, n: int):
     """Both sides of the (m, n) identity; their difference is 0 in QSym."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     lhs = h_product(m, n + 1) - h_product(m + 1, n)
-    rhs = sum_forms(
-        *(bullet(1, complete_h(k), h_product(m - k, n)).form for k in range(1, m + 1)),
-        *(scaled(-1, bullet(1, complete_h(k), h_product(n - k, m)).form) for k in range(1, n + 1)))
+    rhs = sum_forms(_bullet_sum(m, n), scaled(-1, _bullet_sum(n, m)))
     return lhs, QSymElem._raw("M", *rhs)
+
+
+# the oracle is imported inside these helpers, so that only `kp --certify`
+# of the KP commands loads it
+@lru_cache(maxsize=None)
+def _oracle_sum(m: int, n: int, nvars: int) -> tuple:
+    """S(m, n) expanded in nvars variables term by term: the form of the sum
+    of the h_k o (h_{m-k} h_n) summations."""
+    from quasisym.oracle import expand_bullet
+
+    return _shared(sum_forms(*(expand_bullet(1, complete_h(k), h_product(m - k, n), nvars).form
+                               for k in range(1, m + 1))))
+
+
+@lru_cache(maxsize=None)
+def _oracle_lhs(m: int, n: int, nvars: int) -> tuple:
+    """The form of e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n), e the expansion in
+    nvars variables; member (n, m) has its negative."""
+    from quasisym.oracle import expand, poly_mul
+
+    e = lambda q: expand(q, nvars)
+    h = complete_h
+    return _shared((poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))).form)
 
 
 def certify_kp(m: int, n: int, nvars: int) -> bool:
@@ -142,18 +187,11 @@ def certify_kp(m: int, n: int, nvars: int) -> bool:
 
     nvars must reach the identity's degree m + n + 1: below it, equal
     expansions do not decide equality in QSym."""
-    # imported here, so that only `kp --certify` of the KP commands loads the oracle
-    from quasisym.oracle import Polynomial, expand, expand_bullet, poly_mul
-
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     positive_index(nvars, "variable count", least=m + n + 1)
-    h = complete_h
-    e = lambda q: expand(q, nvars)
-    lhs = poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))
-    first = (expand_bullet(1, h(k), h_product(m - k, n), nvars).form for k in range(1, m + 1))
-    second = (scaled(-1, expand_bullet(1, h(k), h_product(n - k, m), nvars).form)
-              for k in range(1, n + 1))
-    return lhs == Polynomial._raw(nvars, *sum_forms(*first, *second))
+    lhs = _oracle_lhs(m, n, nvars) if m <= n else scaled(-1, _oracle_lhs(n, m, nvars))
+    rhs = sum_forms(_oracle_sum(m, n, nvars), scaled(-1, _oracle_sum(n, m, nvars)))
+    return lhs == rhs  # forms are canonical, so equal forms are equal polynomials
 
 
 def kp_classical_identity():

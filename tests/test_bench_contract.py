@@ -16,7 +16,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from quasisym import _core, elements, oracle, products
+from quasisym import _core, elements, kp, oracle, products
 from quasisym.cli import main
 from quasisym.elements import QSymElem
 from quasisym.suites import run_suite
@@ -100,3 +100,16 @@ def test_benchmark_clear_caches_empties_the_kernel_caches_and_word_table(monkeyp
         assert _core.quasi_shuffle.cache_info().currsize == 0
         assert _core.chain_monomials.cache_info().currsize == 0
         assert not _core.WORDS
+
+
+def test_benchmark_clear_caches_empties_the_kp_memos(monkeypatch):
+    # each certify pass starts cold only if the family's shared terms go too
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load("workloads")
+    memos = (kp._h_words, kp._bullet_sum, kp._oracle_sum, kp._oracle_lhs)
+    for _ in range(2):
+        kp.kp_identity(2, 3)
+        assert kp.certify_kp(3, 2, 6)
+        assert all(memo.cache_info().currsize for memo in memos)
+        workloads.clear_caches()
+        assert not any(memo.cache_info().currsize for memo in memos)

@@ -464,6 +464,35 @@ def test_cli_refuses_an_exponent_past_the_monomial_width():
     assert run_cli("expand", "--vars", "1", "M[2147483647]") == (0, "x1^2147483647\n", "")
 
 
+ONES = ",".join(["1"] * 26)
+PAST_THE_CEILING = [
+    (("expand", "--vars", "1", "F[2147483648]"), "F[2147483648]", 2147483647),
+    (("eval", "h40"), "h40", 39),
+    (("eval", f"M[1] + Mt[{ONES}]"), f"Mt[{ONES}]", 25),
+    (("convert", "--to", "F", "F[2,30]"), "F[2,30]", 30),
+]
+
+
+@pytest.mark.parametrize("argv, atom, log2", PAST_THE_CEILING,
+                         ids=[" ".join(argv) for argv, _, _ in PAST_THE_CEILING])
+def test_cli_refuses_an_atom_past_the_ceiling_before_building_it(argv, atom, log2):
+    # in a child with a short timeout: building any of these atoms would not end
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {atom} has 2^{log2} terms in the M basis, "
+                           "more than the ceiling of 2^24\n")
+
+
+def test_atoms_below_the_ceiling_or_with_one_term_are_built():
+    assert run_cli("eval", "M[2147483648]") == (0, "M[2147483648]\n", "")
+    assert run_cli("eval", "p40 - M[40]") == (0, "0\n", "")
+    assert run_cli("eval", "F[2147483648] - F[2147483648]")[0] == 2
+    # the ceiling counts terms: F[C] has 2^(|C| - len C), Mt[C] 2^(len C - 1)
+    code, out, _ = run_cli("eval", "F[" + ",".join(["1"] * 40) + "] - Mt[5]")
+    assert code == 0 and out.count("M[") == 2
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "-M[2]"),
     ("eval", "-1/2*M[2] + M[1]"),

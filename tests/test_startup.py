@@ -160,6 +160,16 @@ def test_oracle_loads_no_structure_constants():
     assert not loaded & {f"quasisym.{name}" for name in ("products", "hopf", "kp", "suites", "qss")}
 
 
+@pytest.mark.parametrize("argv", [("coproduct", "M[2,1] - 1/2*F[1,2]"), ("antipode", "Mt[2,1]")],
+                         ids=" ".join)
+def test_coproduct_and_antipode_load_no_product(argv):
+    # deconcatenation and the signed reversal need no structure constant:
+    # hopf imports products and the kernel only in the functions that multiply
+    loaded = loaded_by(*argv)
+    assert "quasisym.hopf" in loaded
+    assert not loaded & {"quasisym.products", "quasisym._core"}
+
+
 def test_basis_expression_loads_only_the_algebra():
     loaded = loaded_by("eval", "M[1] * F[2]")
     assert not loaded & {"quasisym.kp", "quasisym.hopf", "quasisym.oracle"}
