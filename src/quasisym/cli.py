@@ -161,9 +161,14 @@ def parse(text: str):
 ATOM_CEILING = 24
 
 
-def _refuse_large(atom: str, log2_terms: int):
+def _log2_reach(basis: str, word) -> int:
+    """log2 of the number of terms of basis[word] in M, which M[word] has in basis too."""
+    return {"M": 0, "Mt": len(word) - 1, "F": sum(word) - len(word)}[basis]
+
+
+def _refuse_large(atom: str, log2_terms: int, basis: str = "M"):
     if log2_terms > ATOM_CEILING:
-        raise ValueError(f"{atom} has 2^{log2_terms} terms in the M basis, "
+        raise ValueError(f"{atom} has 2^{log2_terms} terms in the {basis} basis, "
                          f"more than the ceiling of 2^{ATOM_CEILING}")
 
 
@@ -174,8 +179,7 @@ def eval_expr(node) -> QSymElem:
         return QSymElem._raw("M", {(): node[1]} if node[1] else {}, node[2])
     if kind == "basis":
         name, comp = node[1], node[2]
-        log2_terms = {"M": 0, "Mt": len(comp) - 1, "F": comp.weight - len(comp)}[name]
-        _refuse_large(f"{name}{comp!r}", log2_terms)
+        _refuse_large(f"{name}{comp!r}", _log2_reach(name, comp))
         return to_basis(monomial(name, comp), "M")
     if kind == "named":
         from quasisym.kp import complete_h, power_sum
@@ -429,7 +433,10 @@ def _dispatch(args, out) -> int:
         out.write(repr(expand(evaluate(args.expr), args.vars)) + "\n")
         return 0
     if args.command == "convert":
-        out.write(format_elem(to_basis(evaluate(args.expr), args.to)) + "\n")
+        a = evaluate(args.expr)  # in M: each M[word] has 2^_log2_reach(to, word) terms in to
+        word = max(a.nums, key=lambda w: _log2_reach(args.to, w), default=())
+        _refuse_large(f"M{Composition.__repr__(word)}", _log2_reach(args.to, word), args.to)
+        out.write(format_elem(to_basis(a, args.to)) + "\n")
         return 0
     if args.command == "coproduct":
         from quasisym.hopf import coproduct
@@ -440,7 +447,10 @@ def _dispatch(args, out) -> int:
     if args.command == "antipode":
         from quasisym.hopf import antipode
 
-        out.write(format_elem(antipode(evaluate(args.expr))) + "\n")
+        a = evaluate(args.expr)  # S(M[word]) is +-Mt[reversed word], read in M
+        word = max(a.nums, key=len, default=())
+        _refuse_large(f"S(M{Composition.__repr__(word)})", _log2_reach("Mt", word))
+        out.write(format_elem(antipode(a)) + "\n")
         return 0
 
     if args.command == "kp":

@@ -6,15 +6,16 @@ and coarsening, the block decomposition into runs ``(head, 1, ..., 1)``,
 the involution driving the antipode on the fundamental basis, and a
 canonical enumeration order used for deterministic output everywhere else.
 
-A coarsening keeps a subset of the gaps between parts, so the compositions
-of n are the coarsenings of (1, ..., 1) (Stanley, EC1 1.2; Gessel 1984); a
-block starts at the first part or at a part >= 2.
+A word is the set of its partial sums, its gap set, encoded as a bit mask
+(`sums`): coarsenings are subsets and refinements supersets (Stanley, EC1
+1.2; Gessel 1984), and both, like every base change, are Yates's sweeps over
+the masks (`sweep`).  Only `compositions_of` is cached.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, pairwise
+from itertools import accumulate, pairwise
 
 
 def positive_index(k, what: str, least: int = 1) -> int:
@@ -82,56 +83,67 @@ def reverse(c) -> Composition:
 
 @lru_cache(maxsize=None, typed=True)
 def compositions_of(n: int) -> tuple:
-    """All compositions of weight n, sorted canonically: the coarsenings of
-    (1, ..., 1), one per subset of its n - 1 kept gaps, so 2^(n-1) of them
-    for n >= 1."""
-    if positive_index(n, "weight", least=0) == 0:
-        return (EMPTY,)
-    return tuple(sorted(_coarsenings(tuple.__new__(Composition, (1,) * n)), key=canonical_key))
+    """All compositions of weight n, sorted canonically: the refinements of
+    (n,), one per subset of the n - 1 gaps, so 2^(n-1) of them for n >= 1."""
+    return tuple(sorted(refinements((n,) if positive_index(n, "weight", least=0) else ()),
+                        key=canonical_key))
 
 
 def enumerate_compositions(max_weight: int) -> list:
     """All compositions of weight 0..max_weight in canonical order."""
-    out = []
-    for n in range(positive_index(max_weight, "max_weight", least=0) + 1):
-        out.extend(compositions_of(n))
-    return out
+    return [c for n in range(positive_index(max_weight, "max_weight", least=0) + 1)
+            for c in compositions_of(n)]
 
 
 def coarsenings(c) -> frozenset:
-    """All compositions obtained by summing runs of adjacent parts (c included).
-
-    A coarsening keeps a subset of the len(c)-1 gaps between parts, and
-    distinct subsets give distinct results, so there are 2^(len(c)-1) of them.
-    The parts are checked before the cached lookup, because (True, 2) and
-    (1.0, 2) hash and compare equal to (1, 2).
-    """
-    return _coarsenings(Composition(c))
-
-
-@lru_cache(maxsize=None)
-def _coarsenings(c: Composition) -> frozenset:
-    if not c:  # not c itself: a plain () shares this entry with EMPTY
-        return frozenset({EMPTY})
-    # per subset of kept gaps, the sums of the parts between them: already checked
-    return frozenset(tuple.__new__(Composition, [sum(c[a:b]) for a, b in pairwise((0, *kept, len(c)))])
-                     for r in range(len(c)) for kept in combinations(range(1, len(c)), r))
+    """The subsets of c's gap set: sums of runs of adjacent parts, 2^(len(c)-1)."""
+    return frozenset(sweeps({Composition(c): 1}, (False, 1)))
 
 
 def refinements(c) -> frozenset:
-    """All D with c in coarsenings(D): split each part into an ordered sum.
-
-    The parts are checked before the cached lookup, as in `coarsenings`.
-    """
-    return _refinements(Composition(c))
+    """All D with c in coarsenings(D): the supersets of c's gap set."""
+    return frozenset(sweeps({Composition(c): 1}, (True, 1)))
 
 
-@lru_cache(maxsize=None)
-def _refinements(c: Composition) -> frozenset:
-    words = [()]
-    for part in c:
-        words = [(*prefix, *piece) for prefix in words for piece in compositions_of(part)]
-    return frozenset(tuple.__new__(Composition, w) for w in words)
+def sums(word, bit) -> int:
+    """The gap set of word as a mask: the sum of bit[s] over its partial sums s."""
+    return sum(map(bit.__getitem__, accumulate(word)))
+
+
+def from_sums(mask: int, point) -> Composition:
+    """Inverse of `sums`: point[b] is the partial sum that the bit b stands for."""
+    parts, last = [], 0
+    while mask:
+        low = mask & -mask
+        s = point[low]
+        parts.append(s - last)
+        last, mask = s, mask ^ low
+    return tuple.__new__(Composition, parts)  # positive: differences of increasing sums
+
+
+def sweep(acc: dict, up: bool, sign: int = 1) -> dict:
+    """Yates's method on a {mask: int} map, in place: for each gap g, every key
+    that lacks g (up) or holds g (down) adds sign times its value to the key with
+    g flipped.  A key's gaps are the bits below its top bit; sign -1 inverts."""
+    for g in range(max(acc, default=1).bit_length() - 1):
+        bit, hold = 1 << g, 0 if up else 1 << g
+        for key, value in [(k ^ bit, v) for k, v in acc.items() if k & bit == hold and k >> g > 1]:
+            acc[key] = acc.get(key, 0) + sign * value
+    return acc
+
+
+def sweeps(terms: dict, *passes) -> dict:
+    """A {word: int} map after one `sweep` per (up, sign) pass, as {Composition:
+    int} without zeros.  A pass up needs every point below the top weight; on
+    the way down the points are the words' partial sums, so a huge part is one bit."""
+    points = (range(1, max(map(sum, terms), default=0) + 1) if any(p[0] for p in passes)
+              else sorted({s for word in terms for s in accumulate(word)}))
+    bit = {s: 1 << i for i, s in enumerate(points)}  # increasing, so the weight is the top bit
+    acc = {sums(word, bit): value for word, value in terms.items()}
+    for p in passes:
+        sweep(acc, *p)
+    point = {b: s for s, b in bit.items()}
+    return {from_sums(mask, point): value for mask, value in acc.items() if value}
 
 
 def elementary_decompose(c):

@@ -24,12 +24,10 @@ A QSym element carries a basis tag — "M" (monomial), "Mt" (the weakly
 increasing variant) or "F" (fundamental).  The M basis is the internal
 canonical one: every cross-basis computation normalizes to it.
 
-Base change facts used here:
-
-    F_C  = sum of M_D over refinements D of C
-    Mt_C = sum of M_D over coarsenings D of C
-
-and the inverse directions carry the sign (-1)^(length difference).
+Base change facts used here, a word read as its gap set (`composition.sums`):
+F_C sums M_D over the supersets D of C (refinements), Mt_C over the subsets
+(coarsenings).  Into M is thus a zeta transform on a Boolean lattice, out of
+M its Moebius inverse: `to_basis` makes at most two sweeps and caches nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from functools import partial
 from math import gcd, lcm
 
-from quasisym.composition import Composition, EMPTY, _coarsenings, _refinements, canonical_key
+from quasisym.composition import Composition, EMPTY, canonical_key, sweeps
 
 BASES = ("M", "Mt", "F")
 
@@ -417,28 +415,15 @@ def _m(a: QSymElem) -> QSymElem:
     return a if a.basis == "M" else to_basis(a, "M")
 
 
-# the keys of an element are valid words already, so base change calls the
-# cached functions behind refinements and coarsenings without their check
-_TO_M = {"F": _refinements, "Mt": _coarsenings}
-
-
-def _from_m(target: str, comp) -> dict:
-    """M_comp in the target basis: (-1)^(length difference) on each related composition."""
-    return {d: -1 if (len(d) - len(comp)) % 2 else 1 for d in _TO_M[target](comp)}
-
-
 def to_basis(a: QSymElem, target: str) -> QSymElem:
     """Re-express a in the target basis; round trips are the identity."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if a.basis == target:
         return a
-    form = a.form
-    if a.basis != "M":
-        form = linear(form, _TO_M[a.basis])
-    if target != "M":
-        form = linear(form, partial(_from_m, target))
-    return QSymElem._raw(target, *form)
+    # into M: F sweeps up to the supersets, Mt down to the subsets; out: sign -1
+    passes = [(b == "F", sign) for b, sign in ((a.basis, 1), (target, -1)) if b != "M"]
+    return QSymElem._raw(target, *reduced(sweeps(a.nums, *passes), a.den))
 
 
 def counit(a: QSymElem):

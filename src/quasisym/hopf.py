@@ -4,7 +4,8 @@ The coproduct deconcatenates on the M basis.  Together with any of the
 graded products it makes QSym an infinitesimal bialgebra: the coproduct is
 a derivation of those products, which is what the derivation and
 distributivity checks in the test suite exercise.  The antipode is the
-signed reversal M_C -> (-1)^len(C) Mt_{reverse(C)} and interacts with the
+signed reversal M_C -> (-1)^len(C) Mt_{reverse(C)}, an involution, so also
+Mt_C -> (-1)^len(C) M_{reverse(C)}, and interacts with the
 graded products by exchanging left and right with a sign.
 
 `products` and the kernel are imported once per call by the functions that
@@ -117,10 +118,10 @@ def counit_right(t: TensorElem) -> QSymElem:
 
 
 def antipode(a: QSymElem) -> QSymElem:
-    """S(M_C) = (-1)^len(C) Mt_{reverse(C)}, returned in the M basis."""
-    m = _m(a)
-    image = {comp[::-1]: -c if len(comp) % 2 else c for comp, c in m.nums.items()}
-    return to_basis(QSymElem._raw("Mt", image, m.den), "M")
+    """S(Mt_C) = (-1)^len(C) M_{reverse(C)} on a brought to Mt, returned in M."""
+    mt = to_basis(a, "Mt")
+    image = {c[::-1]: -x if len(c) % 2 else x for c, x in mt.nums.items()}
+    return QSymElem._raw("M", image, mt.den)
 
 
 def antipode_F(c) -> QSymElem:

@@ -484,6 +484,27 @@ def test_cli_refuses_an_atom_past_the_ceiling_before_building_it(argv, atom, log
                            "more than the ceiling of 2^24\n")
 
 
+ONES_40 = ",".join(["1"] * 40)
+OUTPUTS_PAST_THE_CEILING = [
+    (("convert", "--to", "F", "M[40]"), "M[40] has 2^39 terms in the F basis"),
+    (("convert", "--to", "F", "p26 + M[1]"), "M[26] has 2^25 terms in the F basis"),
+    (("convert", "--to", "Mt", f"M[{ONES_40}]"), f"M[{ONES_40}] has 2^39 terms in the Mt basis"),
+    (("antipode", f"M[{ONES_40}]"), f"S(M[{ONES_40}]) has 2^39 terms in the M basis"),
+    (("antipode", f"2*M[{ONES}] - M[3]"), f"S(M[{ONES}]) has 2^25 terms in the M basis"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUTPUTS_PAST_THE_CEILING,
+                         ids=[" ".join(argv)[:40] for argv, _ in OUTPUTS_PAST_THE_CEILING])
+def test_cli_refuses_an_output_past_the_ceiling_before_building_it(argv, message):
+    # M[C] has as many terms in a basis as that basis's [C] has in M, and
+    # S(M[C]) is +-Mt[reversed C]; in a child, as building any of these would not end
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}, more than the ceiling of 2^24\n"
+
+
 def test_atoms_below_the_ceiling_or_with_one_term_are_built():
     assert run_cli("eval", "M[2147483648]") == (0, "M[2147483648]\n", "")
     assert run_cli("eval", "p40 - M[40]") == (0, "0\n", "")

@@ -5,7 +5,6 @@ import pytest
 from quasisym.composition import (
     Composition,
     EMPTY,
-    _coarsenings,
     canonical_key,
     coarsenings,
     compositions_of,
@@ -80,15 +79,11 @@ def test_cached_refinements_check_their_parts(bad):
 
 
 def test_empty_coarsening_is_a_composition_after_a_plain_tuple_call():
-    # a plain () hashes and compares equal to EMPTY, so the two share one
-    # cache entry, and the entry must not be the plain argument
-    _coarsenings.cache_clear()
-    try:
-        _coarsenings(())
-        for c in (*coarsenings(()), *coarsenings(Composition())):
-            assert type(c) is Composition
-    finally:
-        _coarsenings.cache_clear()
+    # a plain () hashes and compares equal to EMPTY, and the answer for
+    # either must be made of Compositions, not of the plain argument
+    for call in ((), Composition(), ()):
+        for c in (*coarsenings(call), *refinements(call)):
+            assert type(c) is Composition and c == EMPTY
 
 
 def test_coarsen_refine_duality():

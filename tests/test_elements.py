@@ -6,7 +6,6 @@ import pytest
 from quasisym.composition import Composition, enumerate_compositions
 from quasisym.elements import (
     QSymElem,
-    _from_m,
     counit,
     format_elem,
     monomial,
@@ -38,10 +37,14 @@ def test_monomial_and_zero_pruning():
         QSymElem("M", {(1,): 0.5})
 
 
-def test_base_change_keeps_no_shared_sign_map():
-    """A write into one M-to-F sign map reaches no later base change."""
-    _from_m("F", Composition((1, 1)))[Composition((9,))] = 5
+def test_base_change_results_share_no_numerators():
+    """A write into one `to_basis` result's nums reaches no later call."""
+    first = to_basis(M(1, 1), "F")
+    first.nums[Composition((9,))] = 5
     assert repr(to_basis(M(1, 1), "F")) == "F[1,1]"
+    assert repr(to_basis(monomial("F", (1, 2)), "Mt")) == "-Mt[2,1] + Mt[1,1,1]"
+    to_basis(monomial("F", (1, 2)), "Mt").nums.clear()
+    assert repr(to_basis(monomial("F", (1, 2)), "Mt")) == "-Mt[2,1] + Mt[1,1,1]"
 
 
 def test_reduced_returns_a_new_plain_dict():
