@@ -229,7 +229,7 @@ QSS_SUITES = {
 
 def _suite_names():
     """The choices of ``verify``: read, and the suites imported, only when a
-    name is checked or the help is printed."""
+    name is checked or argparse reads argv."""
     from quasisym.suites import SUITES
 
     return (*sorted(SUITES), "all")
@@ -257,7 +257,6 @@ COMMANDS = {
                {"--max-weight": _MAX_WEIGHT, "--max": _MAX_WEIGHT,
                 "--max-k": ("max_k", int, None), "--json": _JSON}),
 }
-_HELP = ("help", None, False)  # the spec of -h and --help
 
 
 def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
@@ -284,130 +283,88 @@ def _emit_report(results, suite_name: str, as_json: bool, out) -> bool:
     return bool(results) and ok_count == len(results)
 
 
-def _usage(command) -> str:
-    if command is None:
-        return "usage: quasisym [-h] {" + ",".join(COMMANDS) + "} ..."
-    _, positionals, options = COMMANDS[command]
-    words = ["usage: quasisym", command, "[-h]"]
-    for flag, (_, kind, default) in options.items():
-        if kind is not None:
-            flag += " N" if kind is int else " {" + ",".join(kind) + "}"
-        words.append(flag if default is ... else f"[{flag}]")
-    return " ".join(words + list(positionals))
-
-
-def _fail(command, message):
-    """Print the usage and the error to stderr, and exit 2."""
-    prog = "quasisym" if command is None else f"quasisym {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help(command):
-    """Print the help of a command, or of the program when None, and exit 0."""
-    import textwrap
-
-    if command is None:
-        lines = ["Exact computer algebra for quasi-symmetric functions", "",
-                 *(f"{name}: {text}" for name, (text, _, _) in COMMANDS.items())]
-    else:
-        text, positionals, _ = COMMANDS[command]
-        lines = [text] + [f"{name}: one of {', '.join(kind())}"
-                          for name, kind in positionals.items() if kind]
-    # wrapped at spaces only, so that no suite name is split at a hyphen
-    lines = [textwrap.fill(line, 78, subsequent_indent="  ", break_on_hyphens=False)
-             for line in lines]
-    sys.stdout.write("\n".join([_usage(command), "", *lines]) + "\n")
-    raise SystemExit(0)
-
-
-def _option(command, word, options):
-    """None if word is an argument, else (the option, its spec or None if
-    there is no such option, the value after '=' or None).  Only -h and words
-    that start with '--' are options, so '-M[2]' and '-h2' are arguments.  An
-    option may be cut to a prefix of one option; a '--' word that is no
-    option's prefix but holds a space is an argument."""
-    if word == "-h":
-        return word, _HELP, None
-    if word[:2] != "--" or word == "--":
+def _plain(argv):
+    """The fields `_dispatch` reads, when argv is in the plain spelling: a
+    command, then exact long options, each value the next word, flags, and
+    arguments that do not start with '--' ('-M[2]' and '-h2' are arguments,
+    but '-h' is not).  None for any other spelling, and for any error."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    name, eq, value = word.partition("=")
-    specs = {**options, "--help": _HELP}
-    flags = [name] if name in specs else [flag for flag in specs if flag.startswith(name)]
-    if len(flags) > 1:
-        _fail(command, f"ambiguous option: {name} could match {', '.join(flags)}")
-    if flags:
-        return flags[0], specs[flags[0]], value if eq else None
-    return None if " " in word else (word, None, None)
-
-
-def _value(command, name, kind, word):
-    """word read as kind: an int, or one of the choices; None takes any word."""
-    if kind is int:
-        try:
-            return int(word)
-        except ValueError:
-            _fail(command, f"argument {name}: invalid int value: {word!r}")
-    choices = kind() if callable(kind) else kind
-    if choices is not None and word not in choices:
-        _fail(command, f"argument {name}: invalid choice: {word!r} "
-                       f"(choose from {', '.join(map(repr, choices))})")
-    return word
-
-
-def _parse_argv(argv) -> SimpleNamespace:
-    """The fields `_dispatch` reads: the command, and the dests and positional
-    names of the command in `COMMANDS`.  The words are read in order, so an
-    error before -h exits 2 and -h before an error prints the help; missing
-    and unrecognized arguments are reported at the end."""
-    command = argv[0] if argv else None
-    if command not in COMMANDS:
-        if command and (_option(None, command, {}) or ())[1:] == (_HELP, None):
-            _help(None)
-        _fail(None, "the following arguments are required: command" if command is None else
-              f"argument command: invalid choice: {command!r} "
-              f"(choose from {', '.join(map(repr, COMMANDS))})")
-    _, positionals, options = COMMANDS[command]
-    words = list(argv[1:])
-    # every word is classed before any is read, so an ambiguous option fails
-    # even after -h; the first '--' stays '--', and every word after it is None
-    end = words.index("--") if "--" in words else len(words)
-    opts = ([_option(command, word, options) for word in words[:end]] + words[end:end + 1]
-            + [None] * (len(words) - end - 1))
-    args = {"command": command, **{dest: default for dest, _, default in options.values()}}
-    todo, extras, i, filled = list(positionals), [], 0, False
-    while i < len(words):
-        word, opt, i = words[i], opts[i], i + 1
-        if opt is None and todo:
-            name = todo.pop(0)
-            args[name], filled = _value(command, name, positionals[name], word), True
-            continue
-        if opt == "--":  # a '--' next to no word that fills a positional is left over
-            if not (filled or todo and i < len(words)):
-                extras.append(word)
-        elif opt is None or opt[1] is None:
-            extras.append(word)  # an argument too many, or no such option
-        else:
-            flag, (dest, kind, _), value = opt
+    _, positionals, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], **{dest: default for dest, _, default in options.values()}}
+    todo, words = list(positionals), iter(argv[1:])
+    for word in words:
+        if word[:2] == "--" or word == "-h":
+            if word not in options:
+                return None
+            dest, kind, _ = options[word]
             if kind is None:
-                if value is not None:
-                    _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
-                if opt[1] is _HELP:
-                    _help(command)
                 args[dest] = True
-            else:
-                if value is None:
-                    if i == len(words) or opts[i] is not None:
-                        _fail(command, f"argument {flag}: expected one argument")
-                    value, i = words[i], i + 1
-                args[dest] = _value(command, flag, kind, value)
-        filled = False
-    missing = [flag for flag, (dest, _, _) in options.items() if args[dest] is ...] + todo
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**args)
+                continue
+            word = next(words, "-")  # no value is read as a value that starts with '-'
+            if word[:1] == "-":
+                return None
+        elif todo:
+            dest = todo.pop(0)
+            kind = positionals[dest]
+        else:
+            return None
+        if kind is int:
+            try:
+                word = int(word)
+            except ValueError:
+                return None
+        elif kind is not None and word not in (kind() if callable(kind) else kind):
+            return None
+        args[dest] = word
+    return None if todo or ... in args.values() else SimpleNamespace(**args)
+
+
+def _parse_argv(argv):
+    """The fields `_dispatch` reads.  argparse, built from `COMMANDS`, reads
+    every spelling but the plain one, and prints the help and usage errors."""
+    if (args := _plain(argv)) is not None:
+        return args
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _parse_optional(self, arg_string):
+            # every option of a command is long but -h: '-M[2]' is an argument
+            if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+                return None
+            return super()._parse_optional(arg_string)
+
+        def _get_formatter(self):
+            # so wide that the usage stays on one line, whatever $COLUMNS says
+            return argparse.HelpFormatter(self.prog, width=1000)
+
+        def format_help(self):
+            import textwrap
+
+            # wrapped at spaces only, so that no suite name is split at a hyphen
+            lines = [textwrap.fill(line, 78, subsequent_indent="  ", break_on_hyphens=False)
+                     for line in self.description.split("\n")]
+            return "\n".join([self.format_usage(), *lines]) + "\n"
+
+    parser = Parser(prog="quasisym", description="\n".join(
+        ["Exact computer algebra for quasi-symmetric functions", "",
+         *(f"{name}: {text}" for name, (text, _, _) in COMMANDS.items())]))
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (text, positionals, options) in COMMANDS.items():
+        choices = {name: kind() for name, kind in positionals.items() if kind}
+        sub = commands.add_parser(command, description="\n".join(
+            [text, *(f"{name}: one of {', '.join(names)}" for name, names in choices.items())]))
+        for flag, (dest, kind, default) in options.items():
+            spec = {"action": "store_true"} if kind is None else (
+                {"type": int, "metavar": "N"} if kind is int else {"choices": kind})
+            sub.add_argument(flag, dest=dest, required=default is ...,
+                             default=None if default is ... else default, **spec)
+        for name in positionals:
+            sub.add_argument(name, choices=choices.get(name), metavar=name)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # reported with the command's usage
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -418,8 +375,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error {exc}\n")
         return 2
-    except (ValueError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, TypeError, RecursionError, MemoryError) as exc:
+        # a RecursionError is an expression nested or summed too deep to walk
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
 
 

@@ -161,11 +161,6 @@ def format_ratios(triples) -> str:
     return " ".join(pieces) or "0"
 
 
-def format_terms(pairs) -> str:
-    """Signed text of (coefficient, atom) pairs, each coefficient an int or a Fraction."""
-    return format_ratios((c.numerator, c.denominator, atom) for c, atom in pairs)
-
-
 # -- the sparse core -------------------------------------------------------
 
 def _quotient(fraction, den: int, num: int):

@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from quasisym import _core, elements, kp, oracle, products
-from quasisym.cli import main
+from quasisym.cli import _plain, main
 from quasisym.elements import QSymElem
 from quasisym.suites import run_suite
 
@@ -49,6 +49,16 @@ def test_cli_workload_expects_what_the_cli_prints(monkeypatch):
     for m, n in workloads.CLI_KP:
         assert workloads._kp_report(m, n) == cli_stdout(
             "kp", "--m", str(m), "--n", str(n), "--certify", str(m + n + 2))
+
+
+def test_cli_workload_commands_are_all_in_the_plain_spelling(monkeypatch):
+    # argparse, with gettext and locale, loads only for the argvs that _plain
+    # leaves to it: a measured command that reached it would time those imports
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load("workloads")
+    for seed in (1, 2, 3):
+        for op in workloads.build("cli", seed):
+            assert _plain(op.args[0]) is not None, op.args[0]
 
 
 def test_tracer_counts_calls_and_restores_every_name():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisym.cli import ParseError, _parse_argv, _tokenize, evaluate, main, parse
+from quasisym.cli import COMMANDS, ParseError, _parse_argv, _plain, _tokenize, evaluate, main, parse
 from quasisym.composition import Composition
 from quasisym.elements import format_elem, monomial, one
 from quasisym.kp import complete_h
@@ -563,6 +563,24 @@ def test_cli_reads_back_what_it_prints():
     assert run_cli("eval", printed.strip())[:2] == (0, printed)
 
 
+@pytest.mark.parametrize("expr", ["+".join(["M[1]"] * 3000), "(" * 400 + "M[1]" + ")" * 400],
+                         ids=["a flat sum", "nested parentheses"])
+def test_an_expression_too_deep_to_walk_exits_2(expr):
+    code, out, err = run_cli("eval", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_2(monkeypatch):
+    import quasisym.cli
+
+    def out_of_memory(text):
+        raise MemoryError
+
+    monkeypatch.setattr(quasisym.cli, "evaluate", out_of_memory)
+    assert run_cli("eval", "M[1]") == (2, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("eval",),
     ("eval", "-M[2]", "-M[1]"),
@@ -577,11 +595,11 @@ def test_cli_missing_or_extra_arguments_exit_2(argv):
 
 
 # -- argv -----------------------------------------------------------------
-# The argparse parser the CLI used before it read argv itself, kept as the
-# reference for `_parse_argv`: both must read every argv below alike.  They
-# differ only before the command, where the reference skips an unknown option
-# and still acts on a later one: `quasisym --bogus -h` prints its help there,
-# and exits 2 here.
+# The argparse parser the CLI used before it read any argv itself, kept as
+# the reference for `_parse_argv`: both must read every argv below alike.
+# `_parse_argv` reads the plain spelling itself (`_plain`) and builds its
+# argparse parser from `cli.COMMANDS` for every other argv, so the
+# reference also checks that the table and the fast path say the same.
 
 class ReferenceCommandParser(argparse.ArgumentParser):
     """Every option of a command is long but -h, so any other word that
@@ -746,6 +764,56 @@ ARGVS_READ = [
 @pytest.mark.parametrize("argv", ARGVS_READ, ids=lambda argv: " ".join(argv) or "(none)")
 def test_argv_is_read_as_the_reference_reads_it(argv):
     assert read_argv(_parse_argv, argv) == read_argv(reference_argv_parser().parse_args, argv)
+
+
+EXPRESSIONS = st.sampled_from(["M[1]", "-M[2]", "-h2", "-h2*M[1]", "-", "", "-1", "h2 - 1/2*p2"])
+INTS = st.one_of(st.integers(0, 30).map(str), st.sampled_from([" 7 ", "+3", "007"]))
+BAD_VALUES = ("x", "2.5", "G")  # no int, and no choice of any option or argument
+NOISE = st.sampled_from(["M[1]", "-M[1]", "--json", "--pde", "--vars", "--to", "F", "3", "x"])
+
+
+@st.composite
+def plain_argvs(draw):
+    """(argv, whether it is whole: every required word there, every value
+    valid): a command, each of its options zero to two times, spelled exactly
+    with an int or choice value or none, and its argument, in any order; now
+    and then one word more, one fewer or one replaced."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, positionals, options = COMMANDS[command]
+    groups, whole = [], True
+    for flag, (_, kind, default) in options.items():
+        count = draw(st.integers(0, 2))
+        whole &= count > 0 or default is not ...
+        for _ in range(count):
+            if kind is None:
+                groups.append([flag])
+                continue
+            value = draw(st.one_of(INTS if kind is int else st.sampled_from(kind),
+                                   st.sampled_from(BAD_VALUES)))
+            whole &= value not in BAD_VALUES
+            groups.append([flag, value])
+    for kind in positionals.values():
+        value = draw(st.sampled_from([*kind(), *BAD_VALUES]) if kind else EXPRESSIONS)
+        whole &= value not in BAD_VALUES
+        groups.append([value])
+    words = [w for group in draw(st.permutations(groups)) for w in group]
+    change, i = draw(st.sampled_from(["none", "none", "extra", "drop", "replace"])), draw(
+        st.integers(0, len(words)))
+    if change == "extra":
+        words.insert(i, draw(NOISE))
+    elif change != "none":
+        words[i:i + 1] = [draw(NOISE)] if change == "replace" else []
+    return [command, *words], whole and change == "none"
+
+
+@given(plain_argvs())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_the_plain_spelling_is_read_as_the_reference_reads_it(case):
+    argv, whole = case
+    got = _plain(argv)
+    assert got is not None or not whole, argv
+    if got is not None:
+        assert vars(got) == read_argv(reference_argv_parser().parse_args, argv)
 
 
 def test_a_usage_error_prints_the_usage_and_the_error(capsys):

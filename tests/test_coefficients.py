@@ -11,7 +11,7 @@ from quasisym.composition import (
     Composition, compositions_of, elementary_compose, enumerate_compositions,
 )
 from quasisym.elements import (
-    QSymElem, coefficient, format_ratios, format_terms, monomial, scale, to_basis,
+    QSymElem, coefficient, format_ratios, monomial, scale, to_basis,
 )
 from quasisym.hopf import (
     TensorElem, antipode, coproduct, counit_left, m_k, tensor_bullet_left, tensor_bullet_right,
@@ -65,13 +65,6 @@ def test_ratios_print_as_their_fractions(terms):
     triples = [(num, den, atom) for (num, den), atom in terms]
     assert format_ratios(triples) == reference_format(
         [(Fraction(num, den), atom) for num, den, atom in triples])
-
-
-@PRINTING
-@given(st.lists(st.tuples(st.one_of(NUMERATORS, st.builds(Fraction, NUMERATORS, DENOMINATORS)),
-                          ATOMS), max_size=4))
-def test_int_and_fraction_coefficients_print_as_before(pairs):
-    assert format_terms(pairs) == reference_format(pairs)
 
 
 @pytest.mark.parametrize("build", [

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasisym._core import unpack
 from quasisym.composition import Composition, canonical_key
-from quasisym.elements import QSymElem, counit, format_terms, monomial, one, to_basis
+from quasisym.elements import QSymElem, counit, format_ratios, monomial, one, to_basis
 from quasisym.hopf import (
     TensorElem, antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k,
     tensor_bullet_left, tensor_bullet_right, tensor_mul, tensor_of,
@@ -261,7 +261,7 @@ def assert_shown_as_compositions(e):
         text = [(shown[c], word_atom(e.basis, c)) for c in sorted(shown, key=canonical_key)]
         assert e.degree == max((c.weight for c in shown), default=0)
         assert e == QSymElem(e.basis, shown)
-    assert repr(e) == format_terms(text)
+    assert repr(e) == format_ratios((c.numerator, c.denominator, atom) for c, atom in text)
 
 
 @SETTINGS
