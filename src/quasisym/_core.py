@@ -15,11 +15,13 @@ must be treated as read-only.  The quasi-shuffle product is commutative:
 a call with b < a forwards to (b, a), so one dict serves both orders.  Its
 keys come from ``WORDS``, which holds one shared `Composition` per word;
 ``mul`` keys its result by them without a copy (other products key theirs
-by the plain tuples they build).  The table lives as
-long as the kernel cache: ``clear_caches`` empties both caches and the
-table, and ``WORDS.cache_clear`` lets a scan for caches find the table.
+by the plain tuples they build).  Every memo of the package is a
+module-level attribute with a ``cache_clear`` (``WORDS`` through its
+alias): ``clear_caches`` finds them afresh in every loaded ``quasisym``
+module on each call and empties them all, so the next call starts cold.
 """
 
+import sys
 from functools import lru_cache, reduce
 from operator import or_
 from struct import unpack as _unpack_fields
@@ -117,7 +119,9 @@ def chain_monomials(exps: tuple, strict: tuple, n: int) -> tuple:
 
 
 def clear_caches():
-    """Empty both kernel caches and the word table."""
-    quasi_shuffle.cache_clear()
-    chain_monomials.cache_clear()
-    WORDS.clear()
+    """Empty every memo of every loaded quasisym module, the kernels' included."""
+    memos = {id(value): value for name, module in list(sys.modules.items())
+             if name == "quasisym" or name.startswith("quasisym.")
+             for value in vars(module).values() if hasattr(value, "cache_clear")}
+    for memo in memos.values():
+        memo.cache_clear()

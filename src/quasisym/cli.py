@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
 
 # Only what parsing and evaluating a sum of scaled basis elements needs is
@@ -28,7 +28,7 @@ from types import SimpleNamespace
 # is imported by the branch that runs it, because a module is compiled from
 # source in each process whenever its bytecode cannot be cached.
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, format_elem, format_ratios, monomial, reduced, to_basis
+from quasisym.elements import QSymElem, format_elem, format_ratios, monomial, reduced, sum_forms, to_basis
 
 
 class ParseError(ValueError):
@@ -190,10 +190,15 @@ def eval_expr(node) -> QSymElem:
         return complete_h(node[2])
     if kind == "neg":
         return -eval_expr(node[1])
-    if kind == "add":
-        return eval_expr(node[1]) + eval_expr(node[2])
-    if kind == "sub":
-        return eval_expr(node[1]) - eval_expr(node[2])
+    if kind in ("add", "sub"):  # the parser nests a chain to the left: walk it in a loop
+        chain = []
+        while node[0] in ("add", "sub"):
+            chain.append(node)
+            node = node[1]
+        # left to right, so that an error names the first bad term
+        terms = [eval_expr(node), *(eval_expr(b) if op == "add" else -eval_expr(b)
+                                    for op, _, b in reversed(chain))]
+        return QSymElem._raw("M", *sum_forms(*(term.form for term in terms)))
     if kind == "mul":
         a, b = eval_expr(node[1]), eval_expr(node[2])
         for c, x in ((a, b), (b, a)):
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"parse error {exc}\n")
         return 2
     except (ValueError, TypeError, RecursionError, MemoryError) as exc:
-        # a RecursionError is an expression nested or summed too deep to walk
+        # a RecursionError is an expression nested too deep to walk
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
 
@@ -388,7 +393,12 @@ def _dispatch(args, out) -> int:
     if args.command == "expand":
         from quasisym.oracle import expand
 
-        out.write(repr(expand(evaluate(args.expr), args.vars)) + "\n")
+        a = evaluate(args.expr)  # M[word] has C(N, len word) monomials; no two words share one
+        count = sum(comb(max(args.vars, 0), len(word)) for word in a.nums)
+        if count > 1 << ATOM_CEILING:
+            raise ValueError(f"the expansion in {args.vars} variables has {count} monomials, "
+                             f"more than the ceiling of 2^{ATOM_CEILING}")
+        out.write(repr(expand(a, args.vars)) + "\n")
         return 0
     if args.command == "convert":
         a = evaluate(args.expr)  # in M: each M[word] has 2^_log2_reach(to, word) terms in to

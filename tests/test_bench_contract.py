@@ -16,7 +16,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from quasisym import _core, elements, kp, oracle, products
+from quasisym import _core, composition, elements, kp, oracle, products
 from quasisym.cli import _plain, main
 from quasisym.elements import QSymElem
 from quasisym.suites import run_suite
@@ -123,3 +123,21 @@ def test_benchmark_clear_caches_empties_the_kp_memos(monkeypatch):
         assert all(memo.cache_info().currsize for memo in memos)
         workloads.clear_caches()
         assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_both_cold_cache_rules_empty_every_memo(monkeypatch):
+    # _core.clear_caches and the benchmark's own scan must not drift apart
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load("workloads")
+    memos = (_core.quasi_shuffle, _core.chain_monomials, composition.compositions_of,
+             oracle._expand_basis, kp._h_words, kp._bullet_sum, kp._oracle_sum, kp._oracle_lhs)
+    a = QSymElem("F", {(1, 2): 3, (2,): 1})
+    for clear in (_core.clear_caches, workloads.clear_caches):
+        products.mul(a, a)
+        oracle.expand(a, 3)
+        kp.kp_identity(2, 3)
+        assert kp.certify_kp(1, 2, 5)
+        assert all(memo.cache_info().currsize for memo in memos) and _core.WORDS
+        clear()
+        assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+        assert not _core.WORDS

@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -505,6 +506,29 @@ def test_cli_refuses_an_output_past_the_ceiling_before_building_it(argv, message
     assert proc.stderr == f"error: {message}, more than the ceiling of 2^24\n"
 
 
+def _small_address_space():
+    limit = 300 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+EXPANSIONS_PAST_THE_CEILING = [
+    (("expand", "--vars", "60", "M[1,1,1,1,1,1,1,1]"), 60, 2558620845),
+    (("expand", "--vars", "4097", "M[1] + M[2,3] - 1/2*M[1,1]"), 4097, 4097 + 2 * 8390656),
+]
+
+
+@pytest.mark.parametrize("argv, nvars, count", EXPANSIONS_PAST_THE_CEILING,
+                         ids=[" ".join(argv)[:40] for argv, _, _ in EXPANSIONS_PAST_THE_CEILING])
+def test_cli_refuses_an_expansion_past_the_ceiling_before_building_it(argv, nvars, count):
+    # M[C] has C(N, len C) monomials in N variables, and no two words share one;
+    # in a child with little memory, as building either expansion would not end
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_small_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: the expansion in {nvars} variables has {count} monomials, "
+                           "more than the ceiling of 2^24\n")
+
+
 def test_atoms_below_the_ceiling_or_with_one_term_are_built():
     assert run_cli("eval", "M[2147483648]") == (0, "M[2147483648]\n", "")
     assert run_cli("eval", "p40 - M[40]") == (0, "0\n", "")
@@ -563,12 +587,18 @@ def test_cli_reads_back_what_it_prints():
     assert run_cli("eval", printed.strip())[:2] == (0, printed)
 
 
-@pytest.mark.parametrize("expr", ["+".join(["M[1]"] * 3000), "(" * 400 + "M[1]" + ")" * 400],
-                         ids=["a flat sum", "nested parentheses"])
+@pytest.mark.parametrize("expr", ["*".join(["1"] * 3000), "(" * 400 + "M[1]" + ")" * 400],
+                         ids=["a long product", "nested parentheses"])
 def test_an_expression_too_deep_to_walk_exits_2(expr):
     code, out, err = run_cli("eval", expr)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_sum_of_any_length_evaluates():
+    # a '+'/'-' chain is walked in a loop, not one call deeper per term
+    assert run_cli("eval", "+".join(["M[1]"] * 3000)) == (0, "3000*M[1]\n", "")
+    assert run_cli("eval", "-".join(["M[1]"] * 3000) + " + 1/2")[:2] == (0, "1/2 - 2998*M[1]\n")
 
 
 def test_running_out_of_memory_exits_2(monkeypatch):

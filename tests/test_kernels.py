@@ -7,10 +7,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasisym import _core
+from quasisym import _core, composition, kp, oracle
 from quasisym.composition import Composition
 from quasisym.elements import monomial
-from quasisym.oracle import _expand_basis, expand
+from quasisym.oracle import expand
+from quasisym.products import bullet
 
 
 def test_pure_quasi_shuffle_basics():
@@ -47,15 +48,15 @@ def test_pure_chain_monomials_basics():
 
 
 def test_cached_chain_monomials_cannot_be_corrupted():
-    # the oracle's basis cache and expand_bullet read the kernel's cached result
+    # the oracle's basis cache and expand_bullet read the kernel's cached result;
+    # cold first, so that expand reads the entry written to below
+    _core.clear_caches()
     try:
         with pytest.raises(AttributeError):
             _core.chain_monomials((1,), (), 2).append((9, 9))
-        _expand_basis.cache_clear()
         assert str(expand(monomial("M", (1,)), 2)) == "x1 + x2"
     finally:
         _core.clear_caches()
-        _expand_basis.cache_clear()
 
 
 def test_clear_caches_empties_the_word_table():
@@ -64,6 +65,32 @@ def test_clear_caches_empties_the_word_table():
     _core.clear_caches()
     assert not _core.WORDS
     assert _core.quasi_shuffle.cache_info().currsize == 0
+
+
+def off_by_one(k, a, b):  # a wrong written sum: one term too many
+    return bullet(k, a, b) + monomial("M", (1,))
+
+
+# (module, name, a wrong binding, a call whose answer a memo of the package keeps)
+PLANTED = [
+    (oracle, "chain_monomials", lambda *args: (), lambda: expand(monomial("M", (1, 2)), 3)),
+    (kp, "bullet", off_by_one, lambda: kp.kp_identity(1, 2)),
+    (composition, "sweeps", lambda terms, *passes: {}, lambda: composition.compositions_of(4)),
+]
+
+
+@pytest.mark.parametrize("module, name, fault, probe", PLANTED,
+                         ids=[f"{m.__name__}.{name}" for m, name, _, _ in PLANTED])
+def test_a_fault_planted_after_clear_caches_shows(module, name, fault, probe, monkeypatch):
+    # the answer before the fault is memoized: clear_caches alone must let the fault through
+    right = probe()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            _core.clear_caches()
+            assert probe() != right
+    finally:
+        _core.clear_caches()
 
 
 def reference_quasi_shuffle(a: tuple, b: tuple) -> dict:

@@ -3,22 +3,19 @@
 `kp_identity` and `certify_kp` build each member from the cached written
 sums S(m, n) and the cached oracle left side.  The references below build
 every member from scratch, as the module did before it shared terms, and
-each test compares the two, cold and warm, in both call orders.
-
-A test that plants a fault in `bullet` or in the oracle and then runs KP
-code must clear the memos first: an entry filled before the fault would
-hide it.
+each test compares the two, cold and warm, in both call orders.  Each
+test starts and ends with `_core.clear_caches()`, which empties every memo
+of the package.
 """
 
 import pytest
 
-from quasisym import kp, oracle
+from quasisym import _core, kp, oracle
 from quasisym.elements import QSymElem, scaled, sum_forms
 from quasisym.kp import certify_kp, complete_h, h_product, kp_identity
 from quasisym.oracle import Polynomial, expand, expand_bullet, poly_mul
 from quasisym.products import bullet
 
-MEMOS = (kp._bullet_sum, kp._oracle_sum, kp._oracle_lhs)
 FAMILY = [(m, n) for m in range(1, 7) for n in range(1, 7)]
 CERTIFIED = [(m, n) for m, n in FAMILY if m + n <= 5]
 
@@ -47,16 +44,11 @@ def reference_certify_kp(m, n, nvars):
     return lhs == rhs
 
 
-def clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 @pytest.fixture(autouse=True)
 def cold_memos():
-    clear_memos()
+    _core.clear_caches()
     yield
-    clear_memos()
+    _core.clear_caches()
 
 
 def assert_same_member(m, n):
@@ -150,7 +142,7 @@ def test_a_planted_fault_shows_once_the_memos_are_cleared(monkeypatch):
         return bullet(k, a, b) + QSymElem("M", {(1,): 1})
 
     monkeypatch.setattr(kp, "bullet", off_by_one)
-    clear_memos()
+    _core.clear_caches()
     lhs, rhs = kp_identity(1, 2)
     assert lhs != rhs
 
@@ -159,7 +151,7 @@ def test_a_planted_fault_shows_once_the_memos_are_cleared(monkeypatch):
 
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "expand_bullet", wrong_oracle)
-    clear_memos()
+    _core.clear_caches()
     assert not certify_kp(1, 2, 4)
     assert not reference_certify_kp(1, 2, 4)
 
