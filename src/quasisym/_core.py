@@ -13,9 +13,8 @@ Results are cached and shared.  ``chain_monomials`` returns a tuple, so
 its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
 must be treated as read-only.  The quasi-shuffle product is commutative:
 a call with b < a forwards to (b, a), so one dict serves both orders.  Its
-keys come from ``WORDS``, which holds one shared `Composition` per word;
-``mul`` keys its result by them without a copy (other products key theirs
-by the plain tuples they build).  Every memo of the package is a
+keys come from ``WORDS``, which holds one shared plain tuple per word;
+``mul`` keys its result by them without a copy.  Every memo of the package is a
 module-level attribute with a ``cache_clear`` (``WORDS`` through its
 alias): ``clear_caches`` finds them afresh in every loaded ``quasisym``
 module on each call and empties them all, so the next call starts cold.
@@ -25,8 +24,6 @@ import sys
 from functools import lru_cache, reduce
 from operator import or_
 from struct import unpack as _unpack_fields
-
-from quasisym.composition import Composition
 
 W = 32  # bits per exponent field, which unpack reads as a struct "I"
 LIMIT = 1 << (W - 1)  # every stored exponent is below it
@@ -52,9 +49,8 @@ def check_fields(keys, n: int):
 
 class _WordTable(dict):
     def __missing__(self, word):
-        # kernel words are valid by construction: no part check
-        comp = self[word] = tuple.__new__(Composition, word)
-        return comp
+        word = self[word] = tuple(word)  # a plain tuple, whatever came in
+        return word
 
 
 WORDS = _WordTable()
@@ -74,17 +70,17 @@ def quasi_shuffle(a: tuple, b: tuple) -> dict:
     word = WORDS
     if not a:  # () sorts first
         return {word[b]: 1}
-    a0, ta, b0, tb = a[0], a[1:], b[0], b[1:]
-    # words are built by unpacking: (a0,) + w would go through
-    # Composition.__radd__ and check every part again
-    out = {word[(a0, *w)]: m for w, m in quasi_shuffle(ta, b).items()}
-    if a0 == b0:  # the only case in which two branches share keys
+    ta, tb = a[1:], b[1:]
+    # each word is a one-part prefix and a shared word: two plain tuples
+    pa, pb, pab = (a[0],), (b[0],), (a[0] + b[0],)
+    out = {word[pa + w]: m for w, m in quasi_shuffle(ta, b).items()}
+    if pa == pb:  # the only case in which two branches share keys
         for w, m in quasi_shuffle(a, tb).items():
-            key = word[(b0, *w)]
+            key = word[pb + w]
             out[key] = out.get(key, 0) + m
     else:
-        out.update({word[(b0, *w)]: m for w, m in quasi_shuffle(a, tb).items()})
-    out.update({word[(a0 + b0, *w)]: m for w, m in quasi_shuffle(ta, tb).items()})
+        out.update({word[pb + w]: m for w, m in quasi_shuffle(a, tb).items()})
+    out.update({word[pab + w]: m for w, m in quasi_shuffle(ta, tb).items()})
     return out
 
 

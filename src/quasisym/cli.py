@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import reduce
 from math import comb, gcd
 from types import SimpleNamespace
 
@@ -172,6 +173,17 @@ def _refuse_large(atom: str, log2_terms: int, basis: str = "M"):
                          f"more than the ceiling of 2^{ATOM_CEILING}")
 
 
+def _times(a: QSymElem, b: QSymElem) -> QSymElem:
+    """a * b; a constant factor scales the other one, without the kernel."""
+    for c, x in ((a, b), (b, a)):
+        if c.nums.keys() <= {()}:  # a constant, whose only word is the empty one
+            nums = {k: v * c.nums.get((), 0) for k, v in x.nums.items()}
+            return QSymElem._raw("M", *reduced(nums, c.den * x.den))
+    from quasisym.products import mul
+
+    return mul(a, b)
+
+
 def eval_expr(node) -> QSymElem:
     """Evaluate an AST in the M basis."""
     kind = node[0]
@@ -190,24 +202,17 @@ def eval_expr(node) -> QSymElem:
         return complete_h(node[2])
     if kind == "neg":
         return -eval_expr(node[1])
-    if kind in ("add", "sub"):  # the parser nests a chain to the left: walk it in a loop
-        chain = []
-        while node[0] in ("add", "sub"):
+    if kind in ("add", "sub", "mul"):  # the parser nests a chain to the left: walk it in a loop
+        chain, ops = [], ("mul",) if kind == "mul" else ("add", "sub")
+        while node[0] in ops:
             chain.append(node)
             node = node[1]
         # left to right, so that an error names the first bad term
-        terms = [eval_expr(node), *(eval_expr(b) if op == "add" else -eval_expr(b)
+        terms = [eval_expr(node), *(-eval_expr(b) if op == "sub" else eval_expr(b)
                                     for op, _, b in reversed(chain))]
+        if kind == "mul":
+            return reduce(_times, terms)
         return QSymElem._raw("M", *sum_forms(*(term.form for term in terms)))
-    if kind == "mul":
-        a, b = eval_expr(node[1]), eval_expr(node[2])
-        for c, x in ((a, b), (b, a)):
-            if c.nums.keys() <= {()}:  # a constant, whose only word is the empty one
-                nums = {k: v * c.nums.get((), 0) for k, v in x.nums.items()}
-                return QSymElem._raw("M", *reduced(nums, c.den * x.den))
-        from quasisym.products import mul
-
-        return mul(a, b)
     if kind == "bullet":
         from quasisym.products import bullet
 

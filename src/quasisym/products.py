@@ -17,13 +17,13 @@ conversion; the oracle module checks all of them against direct summation.
 
 from __future__ import annotations
 
-from functools import partial
+from collections import defaultdict
 
 from quasisym._core import quasi_shuffle
 from quasisym.composition import (
     Composition, elementary_compose, elementary_decompose, positive_index,
 )
-from quasisym.elements import QSymElem, _m, bilinear, monomial, one
+from quasisym.elements import QSymElem, _m, bilinear, monomial, one, reduced
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -52,19 +52,33 @@ def _hat_words(k: int, A: tuple, B: tuple):
         yield (*A[:-1], A[-1] + k, *B)
 
 
-def _bilinear(product_words, k: int, a: QSymElem, b: QSymElem) -> QSymElem:
-    image = partial(product_words, positive_index(k, "product index"))
-    return QSymElem._raw("M", *bilinear(_m(a).form, _m(b).form, image))
+def _concat(left: dict, right: dict, den: int) -> QSymElem:
+    """The sum of left[A] * right[B] M_{AB} / den, over two numerator maps."""
+    right = [(tuple(B), y) for B, y in right.items()]  # plain: no Composition.__radd__
+    acc = defaultdict(int)
+    for A, x in left.items():
+        A = tuple(A)
+        for B, y in right:
+            acc[A + B] += x * y
+    return QSymElem._raw("M", *reduced(acc, den))
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
-    """The weakly nonassociative product o_k; raises degree by deg a + deg b + k."""
-    return _bilinear(_bullet_words, k, a, b)
+    """The weakly nonassociative product o_k; raises degree by deg a + deg b + k.
+
+    M_A o_k M_B is M_A followed by 1 o_k M_B, whose words for distinct B differ."""
+    k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
+    unit = {C: y for B, y in nb.items() for C in _bullet_words(k, (), B)}
+    return _concat(na, unit, da * db)
 
 
 def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
-    """The mirror product o^_k: reverse of o_k under M_C -> M_{reverse(C)}."""
-    return _bilinear(_hat_words, k, a, b)
+    """The mirror product o^_k: reverse of o_k under M_C -> M_{reverse(C)}.
+
+    M_A o^_k M_B is M_A o^_k 1, whose words for distinct A differ, followed by M_B."""
+    k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
+    unit = {C: x for A, x in na.items() for C in _hat_words(k, A, ())}
+    return _concat(unit, nb, da * db)
 
 
 def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:

@@ -404,6 +404,21 @@ def test_cli_failure_prints_its_residual(monkeypatch):
         "case": "iter M[] M[] k=1 l=1", "status": "fail", "suite": "lemma-iter"}
 
 
+def test_a_hat_product_without_its_merge_fails_the_oracle(monkeypatch):
+    from quasisym import products
+
+    # o^_k without its merge term: M[1] o^_1 1 keeps M[1,1] but loses M[2]
+    def no_merge(k, A, B):
+        yield (*A, k, *B)
+
+    monkeypatch.setattr(products, "_hat_words", no_merge)
+    code, out, _ = run_cli("verify", "bullet-oracle", "--max", "1", "--max-k", "1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL bullet-oracle: M[1] ^1^ M[] @N=10"]
+    assert out.splitlines()[-1] == "bullet-oracle: 5/6 passed"
+
+
 def test_residual_shows_three_terms_and_the_count():
     from quasisym.suites import Residual, decide
 
@@ -587,12 +602,14 @@ def test_cli_reads_back_what_it_prints():
     assert run_cli("eval", printed.strip())[:2] == (0, printed)
 
 
-@pytest.mark.parametrize("expr", ["*".join(["1"] * 3000), "(" * 400 + "M[1]" + ")" * 400],
-                         ids=["a long product", "nested parentheses"])
-def test_an_expression_too_deep_to_walk_exits_2(expr):
+@pytest.mark.parametrize("expr, expected", [
+    ("*".join(["1"] * 3000), (0, "1\n")),  # a '*' chain is walked in a loop, like a sum
+    ("(" * 400 + "M[1]" + ")" * 400, (2, "")),
+], ids=["a long product", "nested parentheses"])
+def test_an_expression_too_deep_to_walk_exits_2(expr, expected):
     code, out, err = run_cli("eval", expr)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out) == expected
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_sum_of_any_length_evaluates():

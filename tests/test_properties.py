@@ -9,6 +9,7 @@ integral.  Seeds are derandomized, so runs are repeatable.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import gcd
 
@@ -16,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from quasisym._core import unpack
 from quasisym.composition import Composition, canonical_key
-from quasisym.elements import QSymElem, counit, format_ratios, monomial, one, to_basis
+from quasisym.elements import QSymElem, bilinear, counit, format_ratios, monomial, one, to_basis
 from quasisym.hopf import (
     TensorElem, antipode, antipode_axiom_left, antipode_axiom_right, coproduct, m_k,
     tensor_bullet_left, tensor_bullet_right, tensor_mul, tensor_of,
 )
 from quasisym.oracle import Polynomial, _expand_basis, expand, expand_bullet
-from quasisym.products import bullet, hat_bullet, mul, reverse_map
+from quasisym.products import _bullet_words, _hat_words, bullet, hat_bullet, mul, reverse_map
 from quasisym.qss import QssPoly, qss_bullet
 
 # Oracle variables.  Expansions in N variables decide equality for
@@ -128,6 +129,29 @@ def test_bullet_and_hat_match_the_oracle(a, b, k):
         direct = expand_bullet(k, a, b, N, hat=hat)
         assert_stored(direct)
         assert expand(out, N) == direct
+
+
+def pairwise(words, k, a, b):
+    """A graded product summed over every pair of M terms, words(k, A, B) each:
+    the reference for `bullet` and `hat_bullet`, which concatenate a unit form."""
+    left, right = to_basis(a, "M").form, to_basis(b, "M").form
+    return QSymElem._raw("M", *bilinear(left, right, partial(words, k)))
+
+
+@SETTINGS
+@given(elements(), elements(), coefficients, coefficients, coefficients, st.integers(1, 3))
+def test_bullet_and_hat_match_the_pair_loop(a, b, r, q, s, k):
+    """Operands of mixed weights that hold the words [] and [k].  In both
+    products the coefficient of M[k,k] is a[] b[k] + a[k] b[] (M-basis
+    coefficients), set here to cancel: two concatenations collide at 0."""
+    x, y = to_basis(a, "M").terms, to_basis(b, "M").terms
+    a += (r - x.get((), 0)) * one() + (q - x.get((k,), 0)) * monomial("M", (k,))
+    b += (s - y.get((), 0)) * one() + (-q * s / r - y.get((k,), 0)) * monomial("M", (k,))
+    for product, words in ((bullet, _bullet_words), (hat_bullet, _hat_words)):
+        out = product(k, a, b)
+        assert_stored(out)
+        assert (k, k) not in out.terms
+        assert out == pairwise(words, k, a, b)
 
 
 @SETTINGS
