@@ -12,16 +12,28 @@ that reaches ``LIMIT``.
 Results are cached and shared.  ``chain_monomials`` returns a tuple, so
 its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
 must be treated as read-only.  The quasi-shuffle product is commutative:
-a call with b < a forwards to (b, a), so one dict serves both orders.  Its
-keys come from ``WORDS``, which holds one shared plain tuple per word;
-``mul`` keys its result by them without a copy.  Every memo of the package is a
-module-level attribute with a ``cache_clear`` (``WORDS`` through its
-alias): ``clear_caches`` finds them afresh in every loaded ``quasisym``
-module on each call and empties them all, so the next call starts cold.
+a call with b < a forwards to (b, a), so one dict serves both orders.
+
+A ``quasi_shuffle`` table is keyed by word numbers: ``WORDS`` numbers each
+word on first sight and ``NUMBERED[n]`` is word n, a plain tuple, so equal
+words in different tables share one number and one tuple.
+``PREFIXED[p][n]`` is the number of (p, *word n): each recursion branch
+costs one int lookup per entry.  A caller sums tables by number and decodes
+the keys of its answer once, with ``NUMBERED``.  ``WORDS.cache_clear``
+empties numbers, words, per-part tables and ``quasi_shuffle``'s cache
+together, in place; numbers are never reused, so a table kept past a clear
+fails to decode.  Each entry is stored in one atomic step, so threads that
+multiply at once agree on every number.
+
+Every memo of the package is a module-level attribute with a
+``cache_clear``: ``clear_caches`` finds them afresh in every loaded
+``quasisym`` module on each call and empties them all, so the next call
+starts cold.
 """
 
 import sys
 from functools import lru_cache, reduce
+from itertools import count
 from operator import or_
 from struct import unpack as _unpack_fields
 
@@ -47,41 +59,56 @@ def check_fields(keys, n: int):
     return keys
 
 
-class _WordTable(dict):
-    def __missing__(self, word):
-        word = self[word] = tuple(word)  # a plain tuple, whatever came in
-        return word
+class _Table(dict):
+    """A dict that fills a missing key with make(key); the first value stored wins."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))  # one atomic step, for threads
 
 
-WORDS = _WordTable()
-# on the instance: a scan for cache_clear also finds a class attribute and calls it unbound
-WORDS.cache_clear = WORDS.clear
+def _number(word) -> int:
+    """Record word under a new number; `next` is one atomic step, so threads never share one."""
+    n = next(_NEXT)
+    NUMBERED[n] = tuple(word)
+    return n
+
+
+_NEXT = count()  # never reset, so no number is given out twice
+NUMBERED = {}  # NUMBERED[n] is the word numbered n, a plain tuple
+WORDS = _Table(_number)
+PREFIXED = _Table(lambda part: _Table(lambda n: WORDS[(part,) + NUMBERED[n]]))
 
 
 @lru_cache(maxsize=None)
 def quasi_shuffle(a: tuple, b: tuple) -> dict:
-    """Multiplicities of the quasi-shuffle words of two part tuples.
+    """Multiplicities of the quasi-shuffle words of two part tuples, by word number.
 
     Each word interleaves a and b keeping their internal orders, with any
     number of cross pairs merged by addition.
     """
     if b < a:
         return quasi_shuffle(b, a)
-    word = WORDS
     if not a:  # () sorts first
-        return {word[b]: 1}
+        return {WORDS[b]: 1}
     ta, tb = a[1:], b[1:]
-    # each word is a one-part prefix and a shared word: two plain tuples
-    pa, pb, pab = (a[0],), (b[0],), (a[0] + b[0],)
-    out = {word[pa + w]: m for w, m in quasi_shuffle(ta, b).items()}
-    if pa == pb:  # the only case in which two branches share keys
+    pa, pb, pab = PREFIXED[a[0]], PREFIXED[b[0]], PREFIXED[a[0] + b[0]]
+    out = {pa[w]: m for w, m in quasi_shuffle(ta, b).items()}
+    if pa is pb:  # the only case in which two branches share keys
         for w, m in quasi_shuffle(a, tb).items():
-            key = word[pb + w]
+            key = pb[w]
             out[key] = out.get(key, 0) + m
     else:
-        out.update({word[pb + w]: m for w, m in quasi_shuffle(a, tb).items()})
-    out.update({word[pab + w]: m for w, m in quasi_shuffle(ta, tb).items()})
+        out.update({pb[w]: m for w, m in quasi_shuffle(a, tb).items()})
+    out.update({pab[w]: m for w, m in quasi_shuffle(ta, tb).items()})
     return out
+
+
+# on the instance: a scan for cache_clear also finds a class attribute and calls it unbound
+WORDS.cache_clear = lambda: (WORDS.clear(), NUMBERED.clear(), PREFIXED.clear(),
+                             quasi_shuffle.cache_clear())
 
 
 @lru_cache(maxsize=None)

@@ -80,7 +80,7 @@ def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
 
 
 def _leg_products(quasi_shuffle, ab, cd) -> dict:
-    """(a (x) b)(c (x) d) = ac (x) bd on basis tensors, through the kernel."""
+    """(a (x) b)(c (x) d) = ac (x) bd on basis tensors, through the kernel, by word number."""
     (a, b), (c, d) = ab, cd
     right = quasi_shuffle(b, d).items()
     return {(lw, rw): lm * rm for lw, lm in quasi_shuffle(a, c).items() for rw, rm in right}
@@ -88,9 +88,10 @@ def _leg_products(quasi_shuffle, ab, cd) -> dict:
 
 def tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
     """Leg-wise ordinary product: (a (x) b)(c (x) d) = ac (x) bd."""
-    from quasisym._core import quasi_shuffle
+    from quasisym._core import NUMBERED, quasi_shuffle
 
-    return TensorElem._raw(None, *bilinear(t.form, u.form, partial(_leg_products, quasi_shuffle)))
+    nums, den = bilinear(t.form, u.form, partial(_leg_products, quasi_shuffle))
+    return TensorElem._raw(None, {(NUMBERED[lw], NUMBERED[rw]): x for (lw, rw), x in nums.items()}, den)
 
 
 def _collapse(t: TensorElem, product) -> QSymElem:

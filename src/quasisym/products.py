@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from quasisym._core import quasi_shuffle
+from quasisym._core import NUMBERED, quasi_shuffle
 from quasisym.composition import (
     Composition, elementary_compose, elementary_decompose, positive_index,
 )
@@ -28,7 +28,8 @@ from quasisym.elements import QSymElem, _m, bilinear, monomial, one, reduced
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     """Ordinary (quasi-shuffle) product; commutative and associative."""
-    return QSymElem._raw("M", *bilinear(_m(a).form, _m(b).form, quasi_shuffle))
+    nums, den = bilinear(_m(a).form, _m(b).form, quasi_shuffle)  # keyed by word number
+    return QSymElem._raw("M", {NUMBERED[n]: c for n, c in nums.items()}, den)
 
 
 def _bullet_words(k: int, A: tuple, B: tuple):

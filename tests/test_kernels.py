@@ -1,22 +1,33 @@
 """The two kernels on small inputs, checked by hand, and the quasi-shuffle
-kernel against a brute-force enumeration on random part tuples."""
+kernel and both of its users, `mul` and `tensor_mul`, against a
+brute-force enumeration on random part tuples and elements."""
 
+import sys
+import threading
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasisym import _core, composition, kp, oracle
-from quasisym.elements import monomial
+from quasisym.elements import QSymElem, monomial, to_basis
+from quasisym.hopf import TensorElem, coproduct, tensor_mul
 from quasisym.oracle import expand
-from quasisym.products import bullet
+from quasisym.products import bullet, mul
+
+
+def decoded(table: dict) -> dict:
+    """A kernel table with each word number replaced by its word."""
+    return {_core.NUMBERED[n]: m for n, m in table.items()}
 
 
 def test_pure_quasi_shuffle_basics():
-    assert _core.quasi_shuffle((), (2, 1)) == {(2, 1): 1}
-    assert _core.quasi_shuffle((1,), (1,)) == {(1, 1): 2, (2,): 1}
-    assert _core.quasi_shuffle((1,), (2, 1)) == {
+    assert decoded(_core.quasi_shuffle((), (2, 1))) == {(2, 1): 1}
+    assert decoded(_core.quasi_shuffle((1,), (1,))) == {(1, 1): 2, (2,): 1}
+    assert decoded(_core.quasi_shuffle((1,), (2, 1))) == {
         (1, 2, 1): 1,
         (3, 1): 1,
         (2, 1, 1): 2,
@@ -60,9 +71,9 @@ def test_cached_chain_monomials_cannot_be_corrupted():
 
 def test_clear_caches_empties_the_word_table():
     _core.quasi_shuffle((1, 2), (2,))
-    assert _core.WORDS
+    assert _core.WORDS and _core.NUMBERED and _core.PREFIXED
     _core.clear_caches()
-    assert not _core.WORDS
+    assert not (_core.WORDS or _core.NUMBERED or _core.PREFIXED)
     assert _core.quasi_shuffle.cache_info().currsize == 0
 
 
@@ -123,10 +134,89 @@ part_tuples = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 @given(part_tuples, part_tuples, part_tuples, part_tuples)
 def test_quasi_shuffle_against_brute_force_and_its_shared_words(a, b, c, d):
     table = _core.quasi_shuffle(a, b)
-    assert table == reference_quasi_shuffle(a, b)
+    assert decoded(table) == reference_quasi_shuffle(a, b)
     assert _core.quasi_shuffle(b, a) is table  # one dict per unordered pair
-    assert all(type(w) is tuple for w in table)
-    other = {w: w for w in _core.quasi_shuffle(c, d)}
-    for w in table:
-        assert other.get(w, w) is w  # an equal word is the same object
-        assert _core.WORDS[w] is w
+    assert all(type(w) is tuple for w in decoded(table))
+    other = {_core.NUMBERED[n]: n for n in _core.quasi_shuffle(c, d)}
+    for n in table:
+        w = _core.NUMBERED[n]
+        assert other.get(w, n) == n  # an equal word has one number, so one shared tuple
+        assert _core.WORDS[w] == n
+
+
+reference = cache(reference_quasi_shuffle)  # the brute force is slow past weight 4
+
+
+def reference_mul(a: QSymElem, b: QSymElem) -> QSymElem:
+    """a * b as a pair loop over the M terms of a and b, on int numerators."""
+    (na, da), (nb, db) = to_basis(a, "M").form, to_basis(b, "M").form
+    out = Counter()
+    for A, x in na.items():
+        for B, y in nb.items():
+            for w, m in reference(tuple(A), tuple(B)).items():
+                out[w] += x * y * m
+    return QSymElem("M", {w: Fraction(v, da * db) for w, v in out.items()})
+
+
+def reference_tensor_mul(t: TensorElem, u: TensorElem) -> TensorElem:
+    """t * u leg by leg: (A (x) B)(C (x) D) = AC (x) BD, each leg by the brute force."""
+    out = Counter()
+    for (A, B), x in t.nums.items():
+        for (C, D), y in u.nums.items():
+            for v, m in reference(tuple(A), tuple(C)).items():
+                for w, n in reference(tuple(B), tuple(D)).items():
+                    out[v, w] += x * y * m * n
+    return TensorElem({vw: Fraction(c, t.den * u.den) for vw, c in out.items()})
+
+
+def test_clearing_the_numbering_alone_clears_every_table_that_holds_numbers():
+    a, b = QSymElem("F", {(2, 1): 3, (1,): Fraction(1, 2)}), QSymElem("Mt", {(1, 2): -1})
+    c, d = QSymElem("M", {(3,): 2, (1, 1): 1}), QSymElem("F", {(1, 1, 1): 1})
+    first = mul(a, b)
+    _core.WORDS.cache_clear()  # a table kept past this point holds numbers that no longer decode
+    assert mul(c, d) == reference_mul(c, d)
+    assert mul(a, b) == first == reference_mul(a, b)
+
+
+small_parts = st.lists(st.integers(1, 5), max_size=5).filter(lambda c: sum(c) <= 5).map(tuple)
+operands = st.builds(  # rational, in a random basis, weight <= 5
+    QSymElem, st.sampled_from(("M", "Mt", "F")),
+    st.dictionaries(small_parts, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                    max_size=3))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), operands, operands), min_size=1, max_size=3))
+def test_mul_and_tensor_mul_against_the_reference_with_caches_cleared_between(steps):
+    for clear, a, b in steps:
+        if clear:
+            _core.clear_caches()
+        assert mul(a, b) == reference_mul(a, b)
+        t, u = coproduct(a), coproduct(b)
+        assert tensor_mul(t, u) == reference_tensor_mul(t, u)
+
+
+def test_threads_that_multiply_at_once_agree_on_every_word_number():
+    # cold products on 8 threads at once number many new words together: a word
+    # given two numbers, or a number read off another thread's word, changes a sum
+    pairs = [(QSymElem("F", {(i % 3 + 1, 2, 1, i % 2 + 1): 1, (1, i % 4 + 1): 2}),
+              QSymElem("Mt", {(2, i % 2 + 1, 1): 1})) for i in range(8)]
+    _core.clear_caches()
+    want = [reference_mul(a, b) for a, b in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            _core.clear_caches()
+            got = [None] * len(pairs)
+            threads = [threading.Thread(target=lambda i=i: got.__setitem__(i, mul(*pairs[i])))
+                       for i in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+        _core.clear_caches()
