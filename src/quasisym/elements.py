@@ -16,9 +16,9 @@ as Compositions, and nothing inside the package reads a stored key as one.
 `Sparse` also holds a space tag (the basis, the variable count, or none)
 and owns the linear structure and the printing; subclasses supply the key
 check, how two spaces meet, their product, the term order and the atom
-text.  `linear` and `bilinear` evaluate linear and bilinear maps given on
-keys: they accumulate int numerators over the product of the denominators
-and reduce by one gcd at the end.
+text.  Products sum int numerators over the product of the denominators and
+reduce by one gcd at the end: `convolve` when keys add, else `bilinear` or
+`linear`, whose image is a tuple of keys or any {key: multiplicity} mapping.
 
 A QSym element carries a basis tag — "M" (monomial), "Mt" (the weakly
 increasing variant) or "F" (fundamental).  The M basis is the internal
@@ -114,11 +114,21 @@ def scaled(r, form) -> tuple:
     return reduced({k: v * r.numerator for k, v in nums.items()}, den * r.denominator)
 
 
-def bilinear(left, right, image) -> tuple:
-    """The form of the sum of left[a] * right[b] * image(a, b), left and right forms.
+def convolve(left, right, den: int) -> tuple:
+    """The form of the sum of left[a] * right[b] at key a + b over den, for two
+    numerator maps whose keys add: words, packed monomials, sigma factors."""
+    right = list(right.items())
+    acc = defaultdict(int)
+    for a, x in left.items():
+        for b, y in right:
+            acc[a + b] += x * y
+    return reduced(acc, den)
 
-    image(a, b) is a dict {key: int}, or an iterable of keys that each count once.
-    """
+
+def bilinear(left, right, image) -> tuple:
+    """The form of the sum of left[a] * right[b] * image(a, b), left and right
+    forms; image(a, b) is a tuple of keys that each count once, or any mapping
+    {key: int}.  Where the image is the key a + b, `convolve` is the loop."""
     (nl, dl), (nr, dr) = left, right
     nr = list(nr.items())
     acc = defaultdict(int)
@@ -126,12 +136,12 @@ def bilinear(left, right, image) -> tuple:
         for b, y in nr:
             c = x * y
             out = image(a, b)
-            if type(out) is dict:
-                for k, w in out.items():
-                    acc[k] += c * w
-            else:
+            if type(out) is tuple:
                 for k in out:
                     acc[k] += c
+            else:
+                for k, w in out.items():
+                    acc[k] += c * w
     return reduced(acc, dl * dr)
 
 

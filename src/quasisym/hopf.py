@@ -66,7 +66,7 @@ def tensor_bullet_right(t: TensorElem, k: int, c: QSymElem) -> TensorElem:
     from quasisym.products import _bullet_words
 
     positive_index(k, "product index")
-    return TensorElem._raw(None, *bilinear(t.form, _m(c).form, lambda ab, C: (
+    return TensorElem._raw(None, *bilinear(t.form, _m(c).form, lambda ab, C: tuple(
         (ab[0], w) for w in _bullet_words(k, ab[1], C))))
 
 
@@ -75,7 +75,7 @@ def tensor_bullet_left(c: QSymElem, k: int, t: TensorElem) -> TensorElem:
     from quasisym.products import _bullet_words
 
     positive_index(k, "product index")
-    return TensorElem._raw(None, *bilinear(_m(c).form, t.form, lambda C, ab: (
+    return TensorElem._raw(None, *bilinear(_m(c).form, t.form, lambda C, ab: tuple(
         (w, ab[1]) for w in _bullet_words(k, C, ab[0]))))
 
 
@@ -103,9 +103,10 @@ def _collapse(t: TensorElem, product) -> QSymElem:
 
 def m_k(k: int, t: TensorElem) -> QSymElem:
     """Collapse a tensor through o_k: sends a (x) b to a o_k b."""
-    from quasisym.products import bullet
+    from quasisym.products import _bullet_words
 
-    return _collapse(t, lambda a, b: bullet(k, a, b))
+    k = positive_index(k, "product index")
+    return QSymElem._raw("M", *linear(t.form, lambda ab: _bullet_words(k, *ab)))
 
 
 def counit_left(t: TensorElem) -> QSymElem:

@@ -56,7 +56,7 @@ from types import MappingProxyType
 
 from quasisym.composition import Composition, canonical_key, compositions_of, positive_index
 from quasisym.elements import (
-    QSymElem, Sparse, bilinear, linear, monomial, one, scale, scaled, sum_forms,
+    QSymElem, Sparse, bilinear, convolve, linear, monomial, one, scale, scaled, sum_forms,
 )
 from quasisym.products import bullet, mul
 
@@ -242,7 +242,7 @@ class Sigma(Sparse):
         return tuple(PowerSums._key(f)[::-1] for f in factors)
 
     def _product(self, other):
-        return self._raw(None, *bilinear(self.form, other.form, lambda a, b: (a + b,)))
+        return self._raw(None, *convolve(self.nums, other.nums, self.den * other.den))
 
     @staticmethod
     def _order(factors):
@@ -280,7 +280,7 @@ def sigma(x: PowerSums) -> Sigma:
 def sigma_times(n: int, f: Sigma) -> Sigma:
     """sigma(p_n a): the t_n-derivative of sigma(a), by Leibniz across the factors."""
     n = positive_index(n, "derivative index")
-    return Sigma._raw(None, *linear(f.form, lambda fs: (
+    return Sigma._raw(None, *linear(f.form, lambda fs: tuple(
         fs[:i] + (tuple(sorted(fs[i] + (n,))),) + fs[i + 1:] for i in range(len(fs)))))
 
 

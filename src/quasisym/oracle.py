@@ -17,13 +17,12 @@ tuples appear only at the boundary: the constructor, `.terms` and printing.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import accumulate
 
 from quasisym._core import LIMIT, W, chain_monomials, check_fields, pack, unpack
 from quasisym.composition import positive_index
-from quasisym.elements import QSymElem, Sparse, _m, bilinear, linear, reduced
+from quasisym.elements import QSymElem, Sparse, _m, bilinear, convolve, linear, reduced
 
 
 class Polynomial(Sparse):
@@ -52,12 +51,7 @@ class Polynomial(Sparse):
     def _product(self, other):
         """Exponent vectors add, and so do packed keys: a pair of monomials
         costs one int addition and one numerator product."""
-        right = list(other.nums.items())
-        acc = defaultdict(int)
-        for u, x in self.nums.items():
-            for v, y in right:
-                acc[u + v] += x * y
-        nums, den = reduced(acc, self.den * other.den)
+        nums, den = convolve(self.nums, other.nums, self.den * other.den)
         return self._raw(self.space, check_fields(nums, self.space), den)
 
     def set_last_to_zero(self) -> "Polynomial":

@@ -17,13 +17,11 @@ conversion; the oracle module checks all of them against direct summation.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from quasisym._core import NUMBERED, quasi_shuffle
 from quasisym.composition import (
     Composition, elementary_compose, elementary_decompose, positive_index,
 )
-from quasisym.elements import QSymElem, _m, bilinear, monomial, one, reduced
+from quasisym.elements import QSymElem, _m, bilinear, convolve, monomial, one
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -32,36 +30,21 @@ def mul(a: QSymElem, b: QSymElem) -> QSymElem:
     return QSymElem._raw("M", {NUMBERED[n]: c for n, c in nums.items()}, den)
 
 
-def _bullet_words(k: int, A: tuple, B: tuple):
+def _bullet_words(k: int, A: tuple, B: tuple) -> tuple:
     """The words C of the terms M_C of M_A o_k M_B, each with coefficient 1.
 
     Words are built by unpacking, so a Composition A or B gives plain tuples.
     """
     if not B:
-        yield (*A, k)
-    else:
-        yield (*A, k, *B)
-        yield (*A, k + B[0], *B[1:])
+        return ((*A, k),)
+    return (*A, k, *B), (*A, k + B[0], *B[1:])
 
 
-def _hat_words(k: int, A: tuple, B: tuple):
+def _hat_words(k: int, A: tuple, B: tuple) -> tuple:
     """The words of M_A o^_k M_B (merge happens on the left)."""
     if not A:
-        yield (k, *B)
-    else:
-        yield (*A, k, *B)
-        yield (*A[:-1], A[-1] + k, *B)
-
-
-def _concat(left: dict, right: dict, den: int) -> QSymElem:
-    """The sum of left[A] * right[B] M_{AB} / den, over two numerator maps."""
-    right = [(tuple(B), y) for B, y in right.items()]  # plain: no Composition.__radd__
-    acc = defaultdict(int)
-    for A, x in left.items():
-        A = tuple(A)
-        for B, y in right:
-            acc[A + B] += x * y
-    return QSymElem._raw("M", *reduced(acc, den))
+        return ((k, *B),)
+    return (*A, k, *B), (*A[:-1], A[-1] + k, *B)
 
 
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -70,7 +53,8 @@ def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     M_A o_k M_B is M_A followed by 1 o_k M_B, whose words for distinct B differ."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: y for B, y in nb.items() for C in _bullet_words(k, (), B)}
-    return _concat(na, unit, da * db)
+    # words made plain tuples, which concatenate without Composition's checked __add__
+    return QSymElem._raw("M", *convolve({tuple(A): x for A, x in na.items()}, unit, da * db))
 
 
 def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -79,7 +63,7 @@ def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     M_A o^_k M_B is M_A o^_k 1, whose words for distinct A differ, followed by M_B."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: x for A, x in na.items() for C in _hat_words(k, A, ())}
-    return _concat(unit, nb, da * db)
+    return QSymElem._raw("M", *convolve(unit, {tuple(B): y for B, y in nb.items()}, da * db))
 
 
 def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:

@@ -131,8 +131,8 @@ def t_substitution_check(a: QssPoly, i: int) -> bool:
     field, xs, ys = (1 << W) - 1, W * i, W * (n + i)  # x_i in field i, y_i in field n + i
 
     def by_degree(key):
-        if d := (key >> xs & field) + (key >> ys & field):
-            yield d, key & ~(field << xs | field << ys)
+        d = (key >> xs & field) + (key >> ys & field)
+        return ((d, key & ~(field << xs | field << ys)),) if d else ()
     return not linear(a.form, by_degree)[0]
 
 

@@ -1,0 +1,118 @@
+"""The two accumulation loops of the sparse core: `convolve` for keys that
+add, and `bilinear` for an image given on keys, a tuple or any mapping.
+
+The references are the loops they replaced, kept here as written before:
+the pair loop that `products._concat` and `Polynomial._product` each spelled
+out, and `m_k` as a full `bullet` per tensor term through `_collapse`.
+Seeds are derandomized, so runs are repeatable.
+"""
+
+from collections import Counter, defaultdict
+from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasisym._core import pack
+from quasisym.composition import Composition
+from quasisym.elements import bilinear, convolve, linear, reduced
+from quasisym.hopf import TensorElem, _collapse, coproduct, m_k
+from quasisym.products import _bullet_words, _hat_words, bullet
+
+SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+ONE_A, ONE_B = ({(1,): 1}, 1), ({(2,): 1}, 1)
+
+
+@pytest.mark.parametrize("image, multiplicity", [
+    (lambda a, b: {a + b: 2}, 2),
+    (lambda a, b: MappingProxyType({a + b: 2}), 2),
+    (lambda a, b: Counter({a + b: 3}), 3),
+    (lambda a, b: (a + b, a + b), 2),
+], ids=["dict", "read-only mapping", "Counter", "tuple with a repeated key"])
+def test_bilinear_keeps_the_multiplicities_of_any_image(image, multiplicity):
+    assert bilinear(ONE_A, ONE_B, image) == ({(1, 2): multiplicity}, 1)
+    assert linear(ONE_A, lambda a: image(a, (3,))) == ({(1, 3): multiplicity}, 1)
+
+
+def test_bilinear_scales_a_mapping_image_by_both_numerators():
+    left, right = ({(1,): 3, (2,): -1}, 2), ({(1,): 5}, 3)
+    image = lambda a, b: MappingProxyType({a + b: 2, b: 1})
+    # 15 * (2 M11 + M1) - 5 * (2 M21 + M1) over 6, reduced by 2
+    assert bilinear(left, right, image) == ({(1, 1): 15, (1,): 5, (2, 1): -5}, 3)
+
+
+def pair_loop(left, right, den):
+    """The product of two numerator maps whose keys add, as written out by hand
+    before `convolve`: one accumulator, keyed by the sum of each pair of keys."""
+    right = list(right.items())
+    acc = defaultdict(int)
+    for u, x in left.items():
+        for v, y in right:
+            acc[u + v] += x * y
+    return reduced(acc, den)
+
+
+numerators = st.integers(-3, 3).filter(bool)
+words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(pack)
+dens = st.sampled_from((1, 2, 3, 4, 6, 12))
+
+
+@SETTINGS
+@given(st.sampled_from((words, monomials)).flatmap(
+    lambda keys: st.tuples(*[st.dictionaries(keys, numerators, max_size=5)] * 2)), dens)
+def test_convolve_is_the_pair_loop(maps, den):
+    left, right = maps
+    nums, d = convolve(left, right, den)
+    assert (nums, d) == pair_loop(left, right, den)
+    assert 0 not in nums.values() and gcd(d, *nums.values()) == 1
+    # and the sums the form stands for, pair by pair, with Fractions
+    sums = defaultdict(Fraction)
+    for u, x in left.items():
+        for v, y in right.items():
+            sums[u + v] += Fraction(x * y, den)
+    assert {k: Fraction(v, d) for k, v in nums.items()} == {k: v for k, v in sums.items() if v}
+
+
+def test_convolve_takes_any_mapping_and_writes_neither_operand():
+    left, right = {(1,): 2}, MappingProxyType({(2,): 3, (): 1})
+    assert convolve(left, right, 4) == ({(1, 2): 3, (1,): 1}, 2)
+    assert left == {(1,): 2} and dict(right) == {(2,): 3, (): 1}
+
+
+def test_word_images_are_tuples_not_generators():
+    for words_of in (_bullet_words, _hat_words):
+        for A, B in [((), ()), ((1,), ()), ((), (2,)), ((1, 2), (3,))]:
+            out = words_of(2, A, B)
+            assert type(out) is tuple
+            assert all(type(w) is tuple for w in out)
+
+
+def m_k_by_bullets(k, t):
+    """m_k as it was: one `bullet` of two basis elements per tensor term."""
+    return _collapse(t, lambda a, b: bullet(k, a, b))
+
+
+fractions = st.builds(Fraction, numerators, st.sampled_from((1, 2, 3, 4)))
+compositions = st.lists(st.integers(1, 3), max_size=3).filter(lambda c: sum(c) <= 4)
+tensors = st.dictionaries(st.tuples(compositions.map(tuple), compositions.map(Composition)),
+                          fractions, max_size=5).map(TensorElem)
+
+
+@SETTINGS
+@given(tensors, tensors, st.integers(1, 3))
+def test_m_k_is_a_bullet_per_tensor_term(t, u, k):
+    for tensor in (t, t - u, coproduct(m_k(k, u)) + t):
+        out = m_k(k, tensor)
+        assert out == m_k_by_bullets(k, tensor)
+        assert out.form == m_k_by_bullets(k, tensor).form
+        assert out.basis == "M"
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.0, True])
+def test_m_k_refuses_a_bad_index(k):
+    with pytest.raises(ValueError):
+        m_k(k, TensorElem({((1,), ()): 1}))

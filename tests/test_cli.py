@@ -881,3 +881,23 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout == "M[2]\n"
+
+
+def test_a_lowered_bound_is_noted_on_stderr_and_stdout_is_unchanged():
+    asked = run_cli("verify", "shuffle-oracle", "--max", "9")
+    capped = run_cli("verify", "shuffle-oracle", "--max", "4")
+    assert asked[:2] == capped[:2] == (0, "shuffle-oracle: 256/256 passed\n")
+    assert asked[2] == "note: shuffle-oracle runs max weight 4, not the 9 asked\n"
+    assert capped[2] == ""
+    code, out, err = run_cli("verify", "weak-nonassoc", "--max", "5", "--max-k", "4")
+    assert (code, out.splitlines()[-1]) == (0, "weak-nonassoc: 2048/2048 passed")
+    assert err.splitlines() == ["note: weak-nonassoc runs max weight 2, not the 5 asked",
+                                "note: weak-nonassoc runs max k 2, not the 4 asked"]
+
+
+def test_verify_all_at_its_default_bounds_writes_nothing_to_stderr():
+    from quasisym.suites import SUITES
+
+    code, out, err = run_cli("verify", "all")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == len(SUITES)

@@ -182,6 +182,17 @@ def test_qss_verify_loads_only_the_two_alphabet_module(suite):
     assert not loaded & {"quasisym.suites", "quasisym.hopf", "quasisym.kp", *ARGV_PARSING}
 
 
+def test_a_failed_report_loads_no_suite():
+    # a verdict that is no bool is a Residual, printed without importing suites
+    proc = run_child(code=(
+        "import sys\nfrom quasisym.cli import _emit_report\n"
+        "_emit_report([('x', False)], 'qss-kp', False, sys.stdout)\nprint(sorted(sys.modules))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["FAIL qss-kp: x", "qss-kp: 0/1 passed"]
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "quasisym.cli" in loaded and "quasisym.suites" not in loaded
+
+
 def test_verify_loads_no_argv_parsing_module():
     loaded = loaded_by("verify", "kp", "--max", "2")
     assert "quasisym.suites" in loaded
