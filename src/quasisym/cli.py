@@ -428,6 +428,8 @@ def _dispatch(args, out) -> int:
         from quasisym.kp import certify_kp, kp_identity, kp_sigma, sigma_render
 
         # the report is written whole, so a refused bound leaves no PASS line
+        if min(args.m, args.n) > 0:  # else kp_identity refuses the index
+            _refuse_large(f"h{args.m} h{args.n + 1}", args.m + args.n)  # 2^(m+n) words
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]

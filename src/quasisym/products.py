@@ -10,6 +10,9 @@ Structure constants on the M basis:
     hat:     1   o^_k M_B     = M_{(k)B}
              M_{A(m)} o^_k M_B = M_{A(m,k)B} + M_{A(m+k)B}
 
+Both graded products are one dict comprehension where no two term pairs give one
+word (see `bullet`), and `convolve` where pairs meet, as in (M[1] + M[1,1]) o_1 (1 + M[1]).
+
 Closed forms on the other bases (two-term rule on Mt, one-term rule on F
 for k = 1) are provided separately and agree with the M-basis rules after
 conversion; the oracle module checks all of them against direct summation.
@@ -21,7 +24,7 @@ from quasisym._core import NUMBERED, quasi_shuffle
 from quasisym.composition import (
     Composition, elementary_compose, elementary_decompose, positive_index,
 )
-from quasisym.elements import QSymElem, _m, bilinear, convolve, monomial, one
+from quasisym.elements import QSymElem, _m, bilinear, convolve, monomial, one, reduced
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -47,23 +50,33 @@ def _hat_words(k: int, A: tuple, B: tuple) -> tuple:
     return (*A, k, *B), (*A[:-1], A[-1] + k, *B)
 
 
+def _concatenate(left, right, den: int) -> tuple:
+    """`convolve` for words; one word per pair means none was written twice."""
+    nums = {a + b: x * y for a, x in left.items() for b, y in right.items()}
+    if len(nums) == len(left) * len(right):
+        return reduced(nums, den)
+    return convolve(left, right, den)
+
+
 def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     """The weakly nonassociative product o_k; raises degree by deg a + deg b + k.
 
-    M_A o_k M_B is M_A followed by 1 o_k M_B, whose words for distinct B differ."""
+    M_A o_k M_B is M_A followed by 1 o_k M_B, whose words for distinct B differ;
+    for a homogeneous, the prefix of weight deg a tells the pairs apart."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: y for B, y in nb.items() for C in _bullet_words(k, (), B)}
     # words made plain tuples, which concatenate without Composition's checked __add__
-    return QSymElem._raw("M", *convolve({tuple(A): x for A, x in na.items()}, unit, da * db))
+    return QSymElem._raw("M", *_concatenate({tuple(A): x for A, x in na.items()}, unit, da * db))
 
 
 def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     """The mirror product o^_k: reverse of o_k under M_C -> M_{reverse(C)}.
 
-    M_A o^_k M_B is M_A o^_k 1, whose words for distinct A differ, followed by M_B."""
+    M_A o^_k M_B is M_A o^_k 1, whose words for distinct A differ, followed by M_B;
+    for b homogeneous, the suffix of weight deg b tells the pairs apart."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: x for A, x in na.items() for C in _hat_words(k, A, ())}
-    return QSymElem._raw("M", *convolve(unit, {tuple(B): y for B, y in nb.items()}, da * db))
+    return QSymElem._raw("M", *_concatenate(unit, {tuple(B): y for B, y in nb.items()}, da * db))
 
 
 def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:

@@ -1,10 +1,12 @@
 """The two accumulation loops of the sparse core: `convolve` for keys that
-add, and `bilinear` for an image given on keys, a tuple or any mapping.
+add, and `bilinear` for an image given on keys, a tuple or any mapping; and
+the graded products, one dict comprehension where no two term pairs give one
+word and `convolve` where they do.
 
 The references are the loops they replaced, kept here as written before:
-the pair loop that `products._concat` and `Polynomial._product` each spelled
-out, and `m_k` as a full `bullet` per tensor term through `_collapse`.
-Seeds are derandomized, so runs are repeatable.
+the pair loop that the graded products and `Polynomial._product` each
+spelled out, and `m_k` as a full `bullet` per tensor term through
+`_collapse`.  Seeds are derandomized, so runs are repeatable.
 """
 
 from collections import Counter, defaultdict
@@ -13,13 +15,13 @@ from math import gcd
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasisym._core import pack
 from quasisym.composition import Composition
-from quasisym.elements import bilinear, convolve, linear, reduced
+from quasisym.elements import QSymElem, bilinear, convolve, linear, monomial, one, reduced
 from quasisym.hopf import TensorElem, _collapse, coproduct, m_k
-from quasisym.products import _bullet_words, _hat_words, bullet
+from quasisym.products import _bullet_words, _hat_words, bullet, hat_bullet
 
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -116,3 +118,55 @@ def test_m_k_is_a_bullet_per_tensor_term(t, u, k):
 def test_m_k_refuses_a_bad_index(k):
     with pytest.raises(ValueError):
         m_k(k, TensorElem({((1,), ()): 1}))
+
+
+def graded_by_pair_loop(k, a, b, hat):
+    """a o_k b (a o^_k b if hat) by `pair_loop` over the unit form, and whether
+    two term pairs give one word."""
+    (na, da), (nb, db) = a.form, b.form
+    if hat:
+        left = {C: x for A, x in na.items() for C in _hat_words(k, A, ())}
+        right = {tuple(B): y for B, y in nb.items()}
+    else:
+        left = {tuple(A): x for A, x in na.items()}
+        right = {C: y for B, y in nb.items() for C in _bullet_words(k, (), B)}
+    words = [u + v for u in left for v in right]
+    return pair_loop(left, right, da * db), len(set(words)) < len(words)
+
+
+def prefix_free(ws):
+    return not any(u != v and v[:len(u)] == u for u in ws for v in ws)
+
+
+mixed_forms = st.dictionaries(words, fractions, min_size=2, max_size=5).filter(
+    lambda f: len({sum(w) for w in f}) > 1)
+
+
+@SETTINGS
+@given(mixed_forms, mixed_forms, st.integers(1, 3), st.booleans(), st.booleans(),
+       st.integers(1, 3), st.tuples(*[fractions] * 4))
+def test_graded_products_on_mixed_weights_are_the_pair_loop(a, b, k, hat, meet, j, planted):
+    # Words of two pairs of a o_k b meet only when a word of a is a prefix of
+    # another (of b, a suffix, for o^_k).  A meeting is planted as M[j] and
+    # M[j,k] against 1 and M[k]; otherwise a (b) is free of prefixes (suffixes).
+    words_side, unit_side = (b, a) if hat else (a, b)
+    if meet:
+        words_side = {**words_side, (j,): planted[0], ((k, j) if hat else (j, k)): planted[1]}
+        unit_side = {**unit_side, (): planted[2], (k,): planted[3]}
+    else:
+        assume(prefix_free([w[::-1] for w in words_side] if hat else words_side))
+    a, b = (unit_side, words_side) if hat else (words_side, unit_side)
+    a, b = QSymElem("M", a), QSymElem("M", b)
+    out = (hat_bullet if hat else bullet)(k, a, b)
+    form, met = graded_by_pair_loop(k, a, b, hat)
+    assert met == meet
+    assert out.form == form and out.basis == "M"
+
+
+def test_a_collision_adds_its_pairs():
+    # (1) + (1,1) and (1,1) + (1) give one word, so M[1,1,1] counts twice
+    M1, M11 = monomial("M", (1,)), monomial("M", (1, 1))
+    assert bullet(1, M1 + M11, one() + M1) == QSymElem("M", {
+        (1, 1): 1, (1, 2): 1, (1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 1, 1): 1})
+    assert hat_bullet(1, one() + M1, M1 + M11) == QSymElem("M", {
+        (1, 1): 1, (2, 1): 1, (1, 1, 1): 2, (2, 1, 1): 1, (1, 1, 1, 1): 1})

@@ -439,6 +439,7 @@ def test_residual_shows_three_terms_and_the_count():
     ("verify", "bullet-oracle", "--max-k", "-1"),
     ("kp", "--m", "3", "--n", "3", "--certify", "1"),
     ("kp", "--m", "1", "--n", "2", "--certify", "3"),
+    ("kp", "--m", "-5", "--n", "40"),
 ], ids=" ".join)
 def test_cli_bound_below_its_least_exit_2(argv):
     code, out, err = run_cli(*argv)
@@ -486,6 +487,7 @@ PAST_THE_CEILING = [
     (("eval", "h40"), "h40", 39),
     (("eval", f"M[1] + Mt[{ONES}]"), f"Mt[{ONES}]", 25),
     (("convert", "--to", "F", "F[2,30]"), "F[2,30]", 30),
+    (("kp", "--m", "12", "--n", "13"), "h12 h14", 25),  # h_m h_{n+1}: 2^(m+n) words
 ]
 
 
@@ -893,6 +895,18 @@ def test_a_lowered_bound_is_noted_on_stderr_and_stdout_is_unchanged():
     assert (code, out.splitlines()[-1]) == (0, "weak-nonassoc: 2048/2048 passed")
     assert err.splitlines() == ["note: weak-nonassoc runs max weight 2, not the 5 asked",
                                 "note: weak-nonassoc runs max k 2, not the 4 asked"]
+
+
+def test_verify_kp_runs_at_its_cap_of_max_weight_8(monkeypatch):
+    import quasisym.suites
+
+    ran = []
+    monkeypatch.setitem(quasisym.suites.SUITES, "kp",
+                        (lambda mw, mk: ran.append(mw) or [("stub case", True)], 3))
+    assert run_cli("verify", "kp", "--max", "9") == (
+        0, "kp: 1/1 passed\n", "note: kp runs max weight 8, not the 9 asked\n")
+    assert run_cli("verify", "kp", "--max", "8") == (0, "kp: 1/1 passed\n", "")
+    assert ran == [8, 8]
 
 
 def test_verify_all_at_its_default_bounds_writes_nothing_to_stderr():
