@@ -160,6 +160,9 @@ def parse(text: str):
 # An atom whose M-basis expansion would have more than 2^ATOM_CEILING terms
 # is refused before anything is built; no golden or test comes near it.
 ATOM_CEILING = 24
+KP_CEILING = 18  # log2 of the 2^(m+n) words of kp's h_m h_{n+1}; 19 took 12.8 s and 1.2 GB
+CERTIFY_CEILING = ATOM_CEILING + 1  # log2 of kp --certify's dense monomial pairs
+QSS_KP_CEILING = 24  # N of qss-verify --suite kp: 2.4 s and 186 MB at 24, 39 s at 40
 
 
 def _log2_reach(basis: str, word) -> int:
@@ -167,10 +170,16 @@ def _log2_reach(basis: str, word) -> int:
     return {"M": 0, "Mt": len(word) - 1, "F": sum(word) - len(word)}[basis]
 
 
-def _refuse_large(atom: str, log2_terms: int, basis: str = "M"):
-    if log2_terms > ATOM_CEILING:
+def _refuse_large(atom: str, log2_terms: int, basis: str = "M", ceiling: int = ATOM_CEILING):
+    if log2_terms > ceiling:
         raise ValueError(f"{atom} has 2^{log2_terms} terms in the {basis} basis, "
-                         f"more than the ceiling of 2^{ATOM_CEILING}")
+                         f"more than the ceiling of 2^{ceiling}")
+
+
+def _certify_pairs(m: int, n: int, nvars: int) -> int:
+    """The monomial pairs of e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n) in nvars variables."""
+    e = lambda d: comb(max(nvars, 0) + d - 1, d)  # the monomials of e(h_d), d >= 1
+    return e(m) * e(n + 1) + e(m + 1) * e(n)
 
 
 def _times(a: QSymElem, b: QSymElem) -> QSymElem:
@@ -429,7 +438,12 @@ def _dispatch(args, out) -> int:
 
         # the report is written whole, so a refused bound leaves no PASS line
         if min(args.m, args.n) > 0:  # else kp_identity refuses the index
-            _refuse_large(f"h{args.m} h{args.n + 1}", args.m + args.n)  # 2^(m+n) words
+            _refuse_large(f"h{args.m} h{args.n + 1}", args.m + args.n, ceiling=KP_CEILING)
+            pairs = _certify_pairs(args.m, args.n, args.certify or 0)
+            if pairs > 1 << CERTIFY_CEILING:
+                raise ValueError(f"the certification in {args.certify} variables multiplies "
+                                 f"{pairs} monomial pairs, more than the ceiling of "
+                                 f"2^{CERTIFY_CEILING}")
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]
@@ -442,6 +456,9 @@ def _dispatch(args, out) -> int:
         return 0 if ok else 1
 
     if args.command == "qss-verify":
+        if args.suite == "kp" and args.nvars > QSS_KP_CEILING:
+            raise ValueError(f"the qss kp identity at N={args.nvars} is past the ceiling "
+                             f"of N={QSS_KP_CEILING}")
         from quasisym import qss
 
         results = list(QSS_SUITES[args.suite](qss, args.nvars))

@@ -37,7 +37,7 @@ class Composition(tuple):
 
     >>> Composition((2, 1, 3)).weight
     6
-    >>> Composition() + Composition((4,))
+    >>> concat(Composition(), (4,))
     [4]
     """
 
@@ -53,12 +53,6 @@ class Composition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    def __add__(self, other):
-        return Composition(tuple.__add__(self, tuple(other)))
-
-    def __radd__(self, other):
-        return Composition(tuple(other) + tuple(self))
-
     def __repr__(self) -> str:
         return "[" + ",".join(str(p) for p in self) + "]"
 
@@ -70,7 +64,7 @@ EMPTY = Composition()
 
 def canonical_key(c):
     """Total order: weight, then length, then lexicographic on parts."""
-    return (sum(c), len(c), tuple(c))
+    return (sum(c), len(c), c)
 
 
 def concat(a, b) -> Composition:

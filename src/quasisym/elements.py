@@ -12,7 +12,8 @@ form itself and builds no Fraction, and `fractions` is imported only when
 a Fraction is built.  The `nums` keys of a
 QSym element or tensor are words in the form they were built, plain tuples
 or Compositions, which hash and compare equal; `.terms` always shows them
-as Compositions, and nothing inside the package reads a stored key as one.
+as Compositions.  Nothing inside the package reads a stored key as one, by
+construction: a Composition concatenates to a plain tuple, as tuples do.
 `Sparse` also holds a space tag (the basis, the variable count, or none)
 and owns the linear structure and the printing; subclasses supply the key
 check, how two spaces meet, their product, the term order and the atom

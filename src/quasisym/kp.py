@@ -29,10 +29,10 @@ the pairwise quasi-shuffle table of `mul`.  Every word of M_C M_D starts
 with C's first part, D's first part or their sum, and removing the first
 part i from all compositions of m leaves all compositions of m - i, so
 
-    h_m h_n = sum_i (i).(h_{m-i} h_n) + sum_j (j).(h_m h_{n-j})
-              + sum_{i,j} (i+j).(h_{m-i} h_{n-j}),
+    h_m h_n = sum (i+j).(h_{m-i} h_{n-j})  over 0 <= i <= m, 0 <= j <= n, i + j > 0,
 
-where (i).X puts the part i in front of every word of X and h_0 = 1.
+where (s).X puts the part s in front of every word of X, h_0 = 1, and j = 0
+(i = 0) stands for a word that starts with C's (D's) first part alone.
 That costs O(m n) passes over the smaller products instead of one
 quasi-shuffle per pair of the 2^(m-1) 2^(n-1) composition pairs.
 
@@ -80,17 +80,12 @@ def _h_words(m: int, n: int) -> tuple:
     if m > n:
         return _h_words(n, m)  # the product is commutative
     if m == 0:
-        return tuple((tuple(c), 1) for c in compositions_of(n))
+        return tuple((c, 1) for c in compositions_of(n))
     acc = defaultdict(int)
-    for i in range(1, m + 1):
-        for w, x in _h_words(m - i, n):
-            acc[(i,) + w] += x
-        for j in range(1, n + 1):
+    for i in range(m + 1):
+        for j in range(not i, n + 1):  # i + j > 0
             for w, x in _h_words(m - i, n - j):
                 acc[(i + j,) + w] += x
-    for j in range(1, n + 1):
-        for w, x in _h_words(m, n - j):
-            acc[(j,) + w] += x
     return tuple(acc.items())
 
 

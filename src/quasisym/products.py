@@ -34,10 +34,7 @@ def mul(a: QSymElem, b: QSymElem) -> QSymElem:
 
 
 def _bullet_words(k: int, A: tuple, B: tuple) -> tuple:
-    """The words C of the terms M_C of M_A o_k M_B, each with coefficient 1.
-
-    Words are built by unpacking, so a Composition A or B gives plain tuples.
-    """
+    """The words C of the terms M_C of M_A o_k M_B, each with coefficient 1."""
     if not B:
         return ((*A, k),)
     return (*A, k, *B), (*A, k + B[0], *B[1:])
@@ -65,8 +62,7 @@ def bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     for a homogeneous, the prefix of weight deg a tells the pairs apart."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: y for B, y in nb.items() for C in _bullet_words(k, (), B)}
-    # words made plain tuples, which concatenate without Composition's checked __add__
-    return QSymElem._raw("M", *_concatenate({tuple(A): x for A, x in na.items()}, unit, da * db))
+    return QSymElem._raw("M", *_concatenate(na, unit, da * db))
 
 
 def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -76,7 +72,7 @@ def hat_bullet(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
     for b homogeneous, the suffix of weight deg b tells the pairs apart."""
     k, (na, da), (nb, db) = positive_index(k, "product index"), _m(a).form, _m(b).form
     unit = {C: x for A, x in na.items() for C in _hat_words(k, A, ())}
-    return QSymElem._raw("M", *_concatenate(unit, {tuple(B): y for B, y in nb.items()}, da * db))
+    return QSymElem._raw("M", *_concatenate(unit, nb, da * db))
 
 
 def bullet_via_first(k: int, a: QSymElem, b: QSymElem) -> QSymElem:
@@ -112,12 +108,8 @@ def bullet_tilde(k: int, left, right) -> QSymElem:
     positive_index(k, "product index")
     left, right = Composition(left), Composition(right)
     if not left:
-        return monomial("Mt", (k,) + tuple(right))
-    terms = {
-        Composition(tuple(left) + (k,) + tuple(right)): 1,
-        Composition(tuple(left[:-1]) + (left[-1] + k,) + tuple(right)): -1,
-    }
-    return QSymElem("Mt", terms)
+        return monomial("Mt", (k,) + right)
+    return QSymElem("Mt", {left + (k,) + right: 1, left[:-1] + (left[-1] + k,) + right: -1})
 
 
 def bullet_F(A, right) -> QSymElem:
@@ -128,7 +120,7 @@ def bullet_F(A, right) -> QSymElem:
     A, right = Composition(A), Composition(right)
     if not right:
         raise ValueError("the F-basis rule needs a nonempty right composition")
-    return monomial("F", tuple(A) + (right[0] + 1,) + tuple(right[1:]))
+    return monomial("F", A + (right[0] + 1,) + right[1:])
 
 
 def elementary_F(m: int, n: int) -> QSymElem:

@@ -140,7 +140,7 @@ def suite_recursion(max_prefix_weight: int = 3, max_k: int = 3, max_weight_a: in
     prefixes = enumerate_compositions(max_prefix_weight)
     elems = enumerate_compositions(max_weight_a)
     for c, k in product(prefixes, range(1, max_k + 1)):
-        ck = Composition(tuple(c) + (k,))
+        ck = Composition(c + (k,))
         left = _m_elem(ck)
         for a in elems:
             ea = _m_elem(a)
@@ -185,7 +185,7 @@ def suite_F_rules(max_weight: int = 6):
     lows = enumerate_compositions(half)
     highs = enumerate_compositions(max_weight - half)[1:]
     for a, b in product(lows, highs):
-        rhs = f_in_m(tuple(a) + (b[0] + 1,) + tuple(b[1:]))
+        rhs = f_in_m(a + (b[0] + 1,) + b[1:])
         yield (f"F{a!r} . F{b!r}", bullet(1, f_in_m(a), f_in_m(b)), rhs)
     for m, n in product(range(max_weight), repeat=2):
         if m + n < max_weight:

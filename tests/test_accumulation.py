@@ -163,6 +163,21 @@ def test_graded_products_on_mixed_weights_are_the_pair_loop(a, b, k, hat, meet, 
     assert out.form == form and out.basis == "M"
 
 
+@SETTINGS
+@given(st.dictionaries(words, fractions, max_size=5), st.dictionaries(words, fractions, max_size=5),
+       st.integers(1, 3), st.booleans())
+def test_graded_products_read_composition_keys_as_plain_tuples(a, b, k, hat):
+    # constructor-built operands store Compositions; the same forms rebuilt
+    # with plain-tuple keys give the same answer, and every answer word is a tuple
+    built = QSymElem("M", a), QSymElem("M", b)
+    assert all(type(w) is Composition for e in built for w in e.nums)
+    plain = [QSymElem._raw("M", {tuple(w): x for w, x in e.nums.items()}, e.den) for e in built]
+    product = hat_bullet if hat else bullet
+    out = product(k, *built)
+    assert out.form == product(k, *plain).form
+    assert all(type(w) is tuple for w in out.nums)
+
+
 def test_a_collision_adds_its_pairs():
     # (1) + (1,1) and (1,1) + (1) give one word, so M[1,1,1] counts twice
     M1, M11 = monomial("M", (1,)), monomial("M", (1, 1))

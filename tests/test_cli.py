@@ -483,23 +483,23 @@ def test_cli_refuses_an_exponent_past_the_monomial_width():
 
 ONES = ",".join(["1"] * 26)
 PAST_THE_CEILING = [
-    (("expand", "--vars", "1", "F[2147483648]"), "F[2147483648]", 2147483647),
-    (("eval", "h40"), "h40", 39),
-    (("eval", f"M[1] + Mt[{ONES}]"), f"Mt[{ONES}]", 25),
-    (("convert", "--to", "F", "F[2,30]"), "F[2,30]", 30),
-    (("kp", "--m", "12", "--n", "13"), "h12 h14", 25),  # h_m h_{n+1}: 2^(m+n) words
+    (("expand", "--vars", "1", "F[2147483648]"), "F[2147483648]", 2147483647, 24),
+    (("eval", "h40"), "h40", 39, 24),
+    (("eval", f"M[1] + Mt[{ONES}]"), f"Mt[{ONES}]", 25, 24),
+    (("convert", "--to", "F", "F[2,30]"), "F[2,30]", 30, 24),
+    (("kp", "--m", "12", "--n", "13"), "h12 h14", 25, 18),  # h_m h_{n+1}: 2^(m+n) words
 ]
 
 
-@pytest.mark.parametrize("argv, atom, log2", PAST_THE_CEILING,
-                         ids=[" ".join(argv) for argv, _, _ in PAST_THE_CEILING])
-def test_cli_refuses_an_atom_past_the_ceiling_before_building_it(argv, atom, log2):
+@pytest.mark.parametrize("argv, atom, log2, ceiling", PAST_THE_CEILING,
+                         ids=[" ".join(argv) for argv, *_ in PAST_THE_CEILING])
+def test_cli_refuses_an_atom_past_the_ceiling_before_building_it(argv, atom, log2, ceiling):
     # in a child with a short timeout: building any of these atoms would not end
     proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv],
                           capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: {atom} has 2^{log2} terms in the M basis, "
-                           "more than the ceiling of 2^24\n")
+                           f"more than the ceiling of 2^{ceiling}\n")
 
 
 ONES_40 = ",".join(["1"] * 40)
@@ -544,6 +544,41 @@ def test_cli_refuses_an_expansion_past_the_ceiling_before_building_it(argv, nvar
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: the expansion in {nvars} variables has {count} monomials, "
                            "more than the ceiling of 2^24\n")
+
+
+KP_PAST_THE_CEILING = [
+    (("kp", "--m", "10", "--n", "9"), "h10 h10 has 2^19 terms in the M basis, "
+     "more than the ceiling of 2^18"),
+    (("kp", "--m", "2", "--n", "3", "--certify", "40"), "the certification in 40 variables "
+     "multiplies 232986600 monomial pairs, more than the ceiling of 2^25"),
+    (("kp", "--m", "5", "--n", "5", "--certify", "12"), "the certification in 12 variables "
+     "multiplies 108116736 monomial pairs, more than the ceiling of 2^25"),
+    (("qss-verify", "--N", "25", "--suite", "kp"),
+     "the qss kp identity at N=25 is past the ceiling of N=24"),
+    (("qss-verify", "--N", "40"), "the qss kp identity at N=40 is past the ceiling of N=24"),
+]
+
+
+@pytest.mark.parametrize("argv, message", KP_PAST_THE_CEILING,
+                         ids=[" ".join(argv) for argv, _ in KP_PAST_THE_CEILING])
+def test_cli_refuses_a_kp_command_past_its_ceiling_before_building_it(argv, message):
+    # in a child with little memory: each of these runs for seconds to minutes
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_small_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_certify_counts_the_monomial_pairs_of_its_left_side():
+    from quasisym.cli import CERTIFY_CEILING, _certify_pairs
+    from quasisym.oracle import expand
+
+    e = lambda d, nvars: len(expand(complete_h(d), nvars).nums)
+    for m, n, nvars in [(1, 1, 3), (1, 2, 4), (2, 1, 5), (2, 2, 6), (2, 3, 7)]:
+        assert _certify_pairs(m, n, nvars) == (
+            e(m, nvars) * e(n + 1, nvars) + e(m + 1, nvars) * e(n, nvars))
+    assert _certify_pairs(2, 2, 6) == 2352  # the largest that the bench and tests run
+    assert _certify_pairs(4, 5, 11) == 17034017 <= 1 << CERTIFY_CEILING
+    assert _certify_pairs(2, 3, 0) == _certify_pairs(2, 3, -4) == 0
 
 
 def test_atoms_below_the_ceiling_or_with_one_term_are_built():

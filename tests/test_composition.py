@@ -43,6 +43,21 @@ def test_concat():
     assert concat(concat(C(1), C(2)), C(3)) == concat(C(1), concat(C(2), C(3)))
 
 
+def test_a_composition_concatenates_as_a_plain_tuple():
+    # outside input is checked where it enters: Composition(...), concat and
+    # each element constructor, not at every concatenation
+    from quasisym.elements import QSymElem
+
+    word = C(1) + (0,)
+    assert type(word) is tuple and word == (1, 0)
+    assert type((0,) + C(1)) is tuple and type(C(1) + C(2)) is tuple
+    with pytest.raises(ValueError):
+        QSymElem("M", {word: 1})
+    assert type(concat(C(1), (2,))) is Composition
+    with pytest.raises(ValueError):
+        concat(C(1), (0,))
+
+
 def test_reverse():
     assert reverse(C(3, 1, 2)) == C(2, 1, 3)
     assert reverse(EMPTY) == EMPTY
