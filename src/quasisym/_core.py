@@ -14,16 +14,23 @@ its callers cannot change a cached entry; the dicts of ``quasi_shuffle``
 must be treated as read-only.  The quasi-shuffle product is commutative:
 a call with b < a forwards to (b, a), so one dict serves both orders.
 
-A ``quasi_shuffle`` table is keyed by word numbers: ``WORDS`` numbers each
-word on first sight and ``NUMBERED[n]`` is word n, a plain tuple, so equal
-words in different tables share one number and one tuple.
-``PREFIXED[p][n]`` is the number of (p, *word n): each recursion branch
-costs one int lookup per entry.  A caller sums tables by number and decodes
-the keys of its answer once, with ``NUMBERED``.  ``WORDS.cache_clear``
-empties numbers, words, per-part tables and ``quasi_shuffle``'s cache
-together, in place; numbers are never reused, so a table kept past a clear
-fails to decode.  Each entry is stored in one atomic step, so threads that
+A ``quasi_shuffle`` table is keyed by word numbers.  A word of weight
+d < ``LIGHT`` is numbered by its partial-sum mask (bit s - 1 for each partial
+sum s), a number in [2^(d-1), 2^d), so a caller may sum light tables in a
+list; a heavier word takes the next number of a counter from 2^LIGHT, so no
+number grows with a part.  ``WORDS`` numbers each word on first sight and
+``NUMBERED[n]`` is word n, a plain tuple, so equal words in different tables
+share one number object and one tuple.  ``PREFIXED[p][n]`` is the number of
+(p, *word n): each recursion branch costs one int lookup per entry.  A
+caller sums tables by number and decodes the keys of its answer once, with
+``NUMBERED``.  ``WORDS.cache_clear`` empties numbers, words, per-part tables
+and ``quasi_shuffle``'s cache together, in place; a light table kept past a
+clear decodes once its words are numbered again, and counter numbers are
+never reused.  Each entry is stored in one atomic step, so threads that
 multiply at once agree on every number.
+
+    >>> WORDS[(2, 1)], NUMBERED[6]
+    (6, (2, 1))
 
 Every memo of the package is a module-level attribute with a
 ``cache_clear``: ``clear_caches`` finds them afresh in every loaded
@@ -33,7 +40,7 @@ starts cold.
 
 import sys
 from functools import lru_cache, reduce
-from itertools import count
+from itertools import accumulate, count
 from operator import or_
 from struct import unpack as _unpack_fields
 
@@ -70,13 +77,16 @@ class _Table(dict):
 
 
 def _number(word) -> int:
-    """Record word under a new number; `next` is one atomic step, so threads never share one."""
-    n = next(_NEXT)
-    NUMBERED[n] = tuple(word)
+    """Record word under its number: its partial-sum mask if light, else a new
+    counter number; `next` is one atomic step, so threads never share one."""
+    word = tuple(word)
+    n = sum(1 << s - 1 for s in accumulate(word)) if sum(word) < LIGHT else next(_NEXT)
+    NUMBERED[n] = word
     return n
 
 
-_NEXT = count()  # never reset, so no number is given out twice
+LIGHT = 30  # words of smaller weight are numbered by their partial-sum masks
+_NEXT = count(1 << LIGHT)  # never reset, so no heavy number is given out twice
 NUMBERED = {}  # NUMBERED[n] is the word numbered n, a plain tuple
 WORDS = _Table(_number)
 PREFIXED = _Table(lambda part: _Table(lambda n: WORDS[(part,) + NUMBERED[n]]))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from functools import reduce
 from math import comb, gcd
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from types import SimpleNamespace
 # imported here: every other module, products, fractions and json included,
 # is imported by the branch that runs it, because a module is compiled from
 # source in each process whenever its bytecode cannot be cached.
-from quasisym.composition import Composition
+from quasisym.composition import Composition, positive_index
 from quasisym.elements import QSymElem, format_elem, format_ratios, monomial, reduced, sum_forms, to_basis
 
 
@@ -182,12 +183,35 @@ def _certify_pairs(m: int, n: int, nvars: int) -> int:
     return e(m) * e(n + 1) + e(m + 1) * e(n)
 
 
+def _refuse_product(op: str, a: QSymElem, b: QSymElem, k: int, pair_bound: int) -> None:
+    """Refuse a product of weight deg a + deg b + k whose answer can pass the ceiling.
+
+    A weight w holds 2^(w-1) words, so the answer has at most the sum of 2^(w-1)
+    over its weights, or pair_bound terms if fewer.  Each power stops at
+    2^(ATOM_CEILING+1), which decides the comparison without a huge number."""
+    wa, wb = set(map(sum, a.nums)), set(map(sum, b.nums))
+    weights = {u + v + k for u in wa for v in wb}
+    bound = min(pair_bound, sum(1 << min(max(w - 1, 0), ATOM_CEILING + 1) for w in weights))
+    if bound > 1 << ATOM_CEILING:
+        raise ValueError(f"the product {op} can have {bound} terms in the M basis, "
+                         f"more than the ceiling of 2^{ATOM_CEILING}")
+
+
+def _quasi_shuffle_words(a: QSymElem, b: QSymElem) -> int:
+    """The words of all quasi-shuffles of a word of a with a word of b: D(l, m) =
+    sum_k C(l,k) C(m,k) 2^k for lengths l and m, k stopped at ATOM_CEILING."""
+    la, lb = Counter(map(len, a.nums)), Counter(map(len, b.nums))
+    return sum(x * y * sum(comb(l, k) * comb(m, k) << k for k in range(min(l, m, ATOM_CEILING) + 1))
+               for l, x in la.items() for m, y in lb.items())
+
+
 def _times(a: QSymElem, b: QSymElem) -> QSymElem:
     """a * b; a constant factor scales the other one, without the kernel."""
     for c, x in ((a, b), (b, a)):
         if c.nums.keys() <= {()}:  # a constant, whose only word is the empty one
             nums = {k: v * c.nums.get((), 0) for k, v in x.nums.items()}
             return QSymElem._raw("M", *reduced(nums, c.den * x.den))
+    _refuse_product("*", a, b, 0, _quasi_shuffle_words(a, b))
     from quasisym.products import mul
 
     return mul(a, b)
@@ -222,14 +246,13 @@ def eval_expr(node) -> QSymElem:
         if kind == "mul":
             return reduce(_times, terms)
         return QSymElem._raw("M", *sum_forms(*(term.form for term in terms)))
-    if kind == "bullet":
-        from quasisym.products import bullet
+    if kind in ("bullet", "hat"):  # each term pair gives at most two words
+        from quasisym import products
 
-        return bullet(node[1], eval_expr(node[2]), eval_expr(node[3]))
-    if kind == "hat":
-        from quasisym.products import hat_bullet
-
-        return hat_bullet(node[1], eval_expr(node[2]), eval_expr(node[3]))
+        k, a, b = node[1], eval_expr(node[2]), eval_expr(node[3])
+        op = f".{k}." if kind == "bullet" else f"^{k}^"
+        _refuse_product(op, a, b, positive_index(k, "product index"), 2 * len(a.nums) * len(b.nums))
+        return (products.bullet if kind == "bullet" else products.hat_bullet)(k, a, b)
     raise ValueError(f"bad AST node {node!r}")
 
 

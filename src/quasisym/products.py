@@ -20,17 +20,35 @@ conversion; the oracle module checks all of them against direct summation.
 
 from __future__ import annotations
 
-from quasisym._core import NUMBERED, quasi_shuffle
+from collections import defaultdict
+
+from quasisym._core import LIGHT, NUMBERED, quasi_shuffle
 from quasisym.composition import (
     Composition, elementary_compose, elementary_decompose, positive_index,
 )
-from quasisym.elements import QSymElem, _m, bilinear, convolve, monomial, one, reduced
+from quasisym.elements import QSymElem, _m, convolve, monomial, one, reduced
 
 
 def mul(a: QSymElem, b: QSymElem) -> QSymElem:
-    """Ordinary (quasi-shuffle) product; commutative and associative."""
-    nums, den = bilinear(_m(a).form, _m(b).form, quasi_shuffle)  # keyed by word number
-    return QSymElem._raw("M", {NUMBERED[n]: c for n, c in nums.items()}, den)
+    """Ordinary (quasi-shuffle) product; commutative and associative.
+
+    The kernel tables of all term pairs are summed by word number.  Every word
+    of the answer weighs at most top = max deg a + max deg b, so a light answer
+    has numbers below 2^top: the sum goes into a list of 2^top slots when top <
+    LIGHT and the list has at most 4 slots per table entry it receives, else
+    into a dict, which a sparse product such as M[20] * M[20] needs."""
+    (na, da), (nb, db) = _m(a).form, _m(b).form
+    tables = [(x * y, quasi_shuffle(A, B)) for A, x in na.items() for B, y in nb.items()]
+    top = max(map(sum, na), default=0) + max(map(sum, nb), default=0)
+    if top < LIGHT and 1 << top <= 4 * sum(len(table) for _, table in tables):
+        acc = [0] * (1 << top)
+    else:
+        acc = defaultdict(int)
+    for c, table in tables:
+        for n, w in table.items():
+            acc[n] += c * w
+    pairs = enumerate(acc) if type(acc) is list else acc.items()
+    return QSymElem._raw("M", *reduced({NUMBERED[n]: v for n, v in pairs if v}, da * db))
 
 
 def _bullet_words(k: int, A: tuple, B: tuple) -> tuple:

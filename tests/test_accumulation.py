@@ -1,12 +1,14 @@
 """The two accumulation loops of the sparse core: `convolve` for keys that
-add, and `bilinear` for an image given on keys, a tuple or any mapping; and
-the graded products, one dict comprehension where no two term pairs give one
-word and `convolve` where they do.
+add, and `bilinear` for an image given on keys, a tuple or any mapping; the
+graded products, one dict comprehension where no two term pairs give one
+word and `convolve` where they do; and `mul`, which sums the kernel tables in
+a list indexed by word number when its answer is dense, else in a dict.
 
 The references are the loops they replaced, kept here as written before:
 the pair loop that the graded products and `Polynomial._product` each
-spelled out, and `m_k` as a full `bullet` per tensor term through
-`_collapse`.  Seeds are derandomized, so runs are repeatable.
+spelled out, `m_k` as a full `bullet` per tensor term through `_collapse`,
+and `mul` as a pair loop that decodes every table entry.  Seeds are
+derandomized, so runs are repeatable.
 """
 
 from collections import Counter, defaultdict
@@ -17,11 +19,12 @@ from types import MappingProxyType
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quasisym._core import pack
+from quasisym import products
+from quasisym._core import LIGHT, NUMBERED, pack, quasi_shuffle
 from quasisym.composition import Composition
-from quasisym.elements import QSymElem, bilinear, convolve, linear, monomial, one, reduced
+from quasisym.elements import QSymElem, bilinear, convolve, linear, monomial, one, reduced, to_basis
 from quasisym.hopf import TensorElem, _collapse, coproduct, m_k
-from quasisym.products import _bullet_words, _hat_words, bullet, hat_bullet
+from quasisym.products import _bullet_words, _hat_words, bullet, hat_bullet, mul
 
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -185,3 +188,66 @@ def test_a_collision_adds_its_pairs():
         (1, 1): 1, (1, 2): 1, (1, 1, 1): 2, (1, 1, 2): 1, (1, 1, 1, 1): 1})
     assert hat_bullet(1, one() + M1, M1 + M11) == QSymElem("M", {
         (1, 1): 1, (2, 1): 1, (1, 1, 1): 2, (2, 1, 1): 1, (1, 1, 1, 1): 1})
+
+
+def mul_by_pair_loop(a, b):
+    """a * b as a pair loop over the M terms, each kernel table decoded entry by entry."""
+    (na, da), (nb, db) = to_basis(a, "M").form, to_basis(b, "M").form
+    acc = defaultdict(int)
+    for A, x in na.items():
+        for B, y in nb.items():
+            for n, w in quasi_shuffle(tuple(A), tuple(B)).items():
+                acc[NUMBERED[n]] += x * y * w
+    return reduced(acc, da * db)
+
+
+def dense(a, b) -> bool:
+    """The rule of `mul`'s docstring: a list of 2^top slots, top = max deg a + max
+    deg b, when top < LIGHT and there are at most 4 slots per table entry."""
+    na, nb = to_basis(a, "M").nums, to_basis(b, "M").nums
+    top = max(map(sum, na), default=0) + max(map(sum, nb), default=0)
+    entries = sum(len(quasi_shuffle(tuple(A), tuple(B))) for A in na for B in nb)
+    return top < LIGHT and 2 ** top <= 4 * entries
+
+
+def mul_and_its_accumulator(a, b):
+    """mul(a, b), and whether it summed in a list (no dict was made)."""
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "defaultdict", lambda kind: made.append(kind) or defaultdict(kind))
+        out = mul(a, b)
+    return out, not made
+
+
+EMPTY, HEAVY = QSymElem("M", {}), monomial("M", (LIGHT,))
+small_words = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda w: sum(w) <= 6).map(tuple)
+forms = st.builds(QSymElem, st.sampled_from(("M", "Mt", "F")),
+                  st.dictionaries(small_words, fractions, min_size=1, max_size=4))
+mul_operands = st.one_of(  # one draw in four is fixed: empty, the unit, or a heavy word
+    st.sampled_from((EMPTY, one(), HEAVY, QSymElem("M", {(15, 16): 2, (1,): Fraction(1, 3)}))),
+    forms, forms, forms)
+
+
+@SETTINGS
+@given(mul_operands, mul_operands)
+def test_mul_is_the_pair_loop_in_a_list_or_a_dict_as_its_rule_says(a, b):
+    out, listed = mul_and_its_accumulator(a, b)
+    assert listed == dense(a, b)
+    assert out.form == mul_by_pair_loop(a, b) and out.basis == "M"
+    assert all(type(w) is tuple for w in out.nums)
+
+
+@pytest.mark.parametrize("a, b, listed", [
+    (one(), one(), True),  # one slot, one entry
+    (one(), monomial("M", (2,)), True),  # 4 slots, 1 entry
+    (monomial("M", (1,)), monomial("M", (1,)), True),  # 4 slots, 2 entries
+    (QSymElem("F", {(3,): 1}), QSymElem("F", {(2, 1): 1}), True),  # 32 slots, 27 entries
+    (monomial("M", (5,)), monomial("M", (5,)), False),  # 1024 slots, 3 entries
+    (EMPTY, monomial("M", (2,)), False),  # no entry
+    (monomial("M", (20,)), monomial("M", (20,)), False),  # top 40: 2^40 slots
+    (HEAVY + monomial("M", (1,)), monomial("M", (1, 1)), False),  # a heavy word among light ones
+], ids=["1*1", "1*M2", "M1*M1", "F3*F21", "M5*M5", "0*M2", "M20*M20", "heavy+light"])
+def test_mul_sums_dense_answers_in_a_list_and_sparse_ones_in_a_dict(a, b, listed):
+    out, got = mul_and_its_accumulator(a, b)
+    assert got == listed == dense(a, b)
+    assert out.form == mul_by_pair_loop(a, b)

@@ -568,6 +568,52 @@ def test_cli_refuses_a_kp_command_past_its_ceiling_before_building_it(argv, mess
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
+PRODUCTS_PAST_THE_CEILING = [
+    (("eval", "h13 * h13"), "*", 2**25),  # one weight pair, 26: 2^25 words
+    (("eval", "h13 .1. h13"), ".1.", 2**25),  # 2 * 4096 * 4096 pairs
+    (("eval", "h13 ^2^ h13"), "^2^", 2**25),
+    (("eval", "M[1] + h13 * h13 * M[2]"), "*", 2**25),  # the first factor of the chain
+    (("convert", "--to", "F", "(h12 + h13) * h13"), "*", 2**24 + 2**25),  # weights 25 and 26
+    (("eval", "(1 + h13) .1. h13"), ".1.", 2 * 4097 * 4096),  # the unit pair adds 2^13 terms
+]
+
+
+@pytest.mark.parametrize("argv, op, bound", PRODUCTS_PAST_THE_CEILING,
+                         ids=[" ".join(argv) for argv, *_ in PRODUCTS_PAST_THE_CEILING])
+def test_cli_refuses_a_product_past_the_ceiling_before_building_it(argv, op, bound):
+    # in a child with little memory: each product would take minutes and gigabytes
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_small_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: the product {op} can have {bound} terms in the M basis, "
+                           "more than the ceiling of 2^24\n")
+
+
+@pytest.mark.parametrize("expr", ["h6 * h5", "M[20] * M[20]", "M[2147483648] * M[2147483648]",
+                                  "h13 * 2", "M[100] .1. M[100]", "M[30,30] ^3^ (1 + M[2])"])
+def test_cli_builds_products_under_the_ceiling(expr):
+    # few terms, most of them of a weight far past the ceiling's
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "eval", expr], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_small_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == format_elem(evaluate(expr)) + "\n"
+
+
+def test_the_product_bounds_at_the_ceiling():
+    from quasisym.cli import _quasi_shuffle_words, _refuse_product
+
+    h8, h12, h13 = complete_h(8), complete_h(12), complete_h(13)
+    _refuse_product("*", h8, h8, 0, _quasi_shuffle_words(h8, h8))  # 2^15 words, as computed
+    _refuse_product("*", h12, h13, 0, _quasi_shuffle_words(h12, h13))  # 2^24 words: admitted
+    with pytest.raises(ValueError, match="can have 33554432 terms"):
+        _refuse_product("*", h13, h13, 0, _quasi_shuffle_words(h13, h13))
+    _refuse_product(".1.", h12, h12, 1, 2 * 2048 * 2048)  # weight 25: 2^24 words
+    # D(l, m) counts the words of one quasi-shuffle, as the kernel lists them
+    for a, b in [((1,), (1,)), ((2, 1), (1, 3)), ((1, 1, 1), (2, 2)), ((), (4, 1))]:
+        assert _quasi_shuffle_words(monomial("M", a), monomial("M", b)) == sum(
+            mul(monomial("M", a), monomial("M", b)).nums.values())
+
+
 def test_certify_counts_the_monomial_pairs_of_its_left_side():
     from quasisym.cli import CERTIFY_CEILING, _certify_pairs
     from quasisym.oracle import expand

@@ -2,6 +2,8 @@
 kernel and both of its users, `mul` and `tensor_mul`, against a
 brute-force enumeration on random part tuples and elements."""
 
+import resource
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -75,6 +77,40 @@ def test_clear_caches_empties_the_word_table():
     _core.clear_caches()
     assert not (_core.WORDS or _core.NUMBERED or _core.PREFIXED)
     assert _core.quasi_shuffle.cache_info().currsize == 0
+
+
+def test_every_light_word_is_numbered_by_its_partial_sum_mask():
+    bit = {s: 1 << s - 1 for s in range(1, 13)}  # the up-sweep's masks in composition
+    try:
+        for n in range(13):
+            for c in composition.compositions_of(n):
+                assert _core.WORDS[c] == composition.sums(c, bit) < 1 << n
+                assert _core.NUMBERED[_core.WORDS[c]] == c
+        heavy = _core.WORDS[(_core.LIGHT,)]  # counted on from 2^LIGHT, whatever its parts
+        assert heavy >= 1 << _core.LIGHT and _core.NUMBERED[heavy] == (_core.LIGHT,)
+    finally:
+        _core.clear_caches()
+
+
+def test_a_light_table_kept_past_a_clear_decodes_to_the_same_words():
+    _core.clear_caches()
+    table = _core.quasi_shuffle((2, 1), (1, 3))
+    words = decoded(table)
+    _core.clear_caches()
+    assert _core.quasi_shuffle((2, 1), (1, 3)) is not table  # computed and numbered again
+    assert decoded(table) == words
+
+
+def test_a_product_with_a_huge_part_stays_small_and_fast():
+    # a mask would be a million bits long: words of weight LIGHT or more are counted
+    def small_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "eval", "h8 * M[1000000]"],
+                          capture_output=True, text=True, timeout=1,
+                          preexec_fn=small_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("M[1000008] + M[1,1000007] + ")
 
 
 def off_by_one(k, a, b):  # a wrong written sum: one term too many
@@ -173,7 +209,7 @@ def test_clearing_the_numbering_alone_clears_every_table_that_holds_numbers():
     a, b = QSymElem("F", {(2, 1): 3, (1,): Fraction(1, 2)}), QSymElem("Mt", {(1, 2): -1})
     c, d = QSymElem("M", {(3,): 2, (1, 1): 1}), QSymElem("F", {(1, 1, 1): 1})
     first = mul(a, b)
-    _core.WORDS.cache_clear()  # a table kept past this point holds numbers that no longer decode
+    _core.WORDS.cache_clear()  # a table kept past this point decodes only once its words are renumbered
     assert mul(c, d) == reference_mul(c, d)
     assert mul(a, b) == first == reference_mul(a, b)
 
