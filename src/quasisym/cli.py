@@ -433,6 +433,10 @@ def _dispatch(args, out) -> int:
         if count > 1 << ATOM_CEILING:
             raise ValueError(f"the expansion in {args.vars} variables has {count} monomials, "
                              f"more than the ceiling of 2^{ATOM_CEILING}")
+        if count * args.vars > 1 << ATOM_CEILING:  # each monomial packs N exponent fields
+            raise ValueError(f"the expansion in {args.vars} variables has {count} monomials of "
+                             f"{args.vars} exponents, more than the ceiling of "
+                             f"2^{ATOM_CEILING} exponents")
         out.write(repr(expand(a, args.vars)) + "\n")
         return 0
     if args.command == "convert":
@@ -467,6 +471,10 @@ def _dispatch(args, out) -> int:
                 raise ValueError(f"the certification in {args.certify} variables multiplies "
                                  f"{pairs} monomial pairs, more than the ceiling of "
                                  f"2^{CERTIFY_CEILING}")
+            if pairs * (args.certify or 0) > 1 << (CERTIFY_CEILING + 3):  # two N-field keys a pair
+                raise ValueError(f"the certification in {args.certify} variables multiplies "
+                                 f"{pairs} monomial pairs of {args.certify} exponents, more "
+                                 f"than the ceiling of 2^{CERTIFY_CEILING + 3} exponents")
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]

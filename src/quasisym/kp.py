@@ -40,11 +40,8 @@ A family run computes each term once.  With S(m, n) the written sum
 sum_{k=1}^m h_k o (h_{m-k} h_n), member (m, n) has the right side
 S(m, n) - S(n, m), so member (n, m) is member (m, n) negated term by term
 and the diagonal members subtract a sum from itself.  `_bullet_sum` keeps
-S(m, n) per ordered pair and `_oracle_sum` its expansion per (m, n, N);
-`_oracle_lhs` keeps the expanded left side e(h_m) e(h_{n+1}) -
-e(h_{m+1}) e(h_n) per unordered member and N, negated for the swapped
-member.  Each member still compares its two sides, and its results are
-new objects: the cached numerators are read-only mappings.
+S(m, n) per ordered pair, with read-only numerators as the entry is
+shared, and `_certified` the oracle's verdict per unordered member and N.
 """
 
 from __future__ import annotations
@@ -133,17 +130,12 @@ def schur_substitution(n: int) -> QSymElem:
     return acc
 
 
-def _shared(form) -> tuple:
-    """A form whose numerators cannot be written: a cached entry is shared."""
-    nums, den = form
-    return MappingProxyType(nums), den
-
-
 @lru_cache(maxsize=None)
 def _bullet_sum(m: int, n: int) -> tuple:
     """The form of S(m, n) = sum_{k=1}^m h_k o (h_{m-k} h_n), per ordered (m, n)."""
-    return _shared(sum_forms(
-        *(bullet(1, complete_h(k), h_product(m - k, n)).form for k in range(1, m + 1))))
+    nums, den = sum_forms(
+        *(bullet(1, complete_h(k), h_product(m - k, n)).form for k in range(1, m + 1)))
+    return MappingProxyType(nums), den  # the cached entry is shared
 
 
 def kp_identity(m: int, n: int):
@@ -154,39 +146,29 @@ def kp_identity(m: int, n: int):
     return lhs, QSymElem._raw("M", *rhs)
 
 
-# the oracle is imported inside these helpers, so that only `kp --certify`
-# of the KP commands loads it
 @lru_cache(maxsize=None)
-def _oracle_sum(m: int, n: int, nvars: int) -> tuple:
-    """S(m, n) expanded in nvars variables term by term: the form of the sum
-    of the h_k o (h_{m-k} h_n) summations."""
-    from quasisym.oracle import expand_bullet
+def _certified(m: int, n: int, nvars: int) -> bool:
+    """Whether e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n) = e(S(m, n)) - e(S(n, m)),
+    e the expansion in nvars variables, each S expanded term by term."""
+    # imported here, so that only `kp --certify` of the KP commands loads the oracle
+    from quasisym.oracle import expand, expand_bullet, poly_mul
 
-    return _shared(sum_forms(*(expand_bullet(1, complete_h(k), h_product(m - k, n), nvars).form
-                               for k in range(1, m + 1))))
-
-
-@lru_cache(maxsize=None)
-def _oracle_lhs(m: int, n: int, nvars: int) -> tuple:
-    """The form of e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n), e the expansion in
-    nvars variables; member (n, m) has its negative."""
-    from quasisym.oracle import expand, poly_mul
-
-    e = lambda q: expand(q, nvars)
-    h = complete_h
-    return _shared((poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))).form)
+    e, h = (lambda q: expand(q, nvars)), complete_h
+    lhs = (poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))).form
+    s = lambda a, b: sum_forms(*(expand_bullet(1, h(k), h_product(a - k, b), nvars).form
+                                 for k in range(1, a + 1)))
+    return lhs == sum_forms(s(m, n), scaled(-1, s(n, m)))  # forms are canonical
 
 
 def certify_kp(m: int, n: int, nvars: int) -> bool:
     """Rebuild both sides of the (m, n) identity with polynomial arithmetic.
 
     nvars must reach the identity's degree m + n + 1: below it, equal
-    expansions do not decide equality in QSym."""
+    expansions do not decide equality in QSym.  Member (n, m) is member
+    (m, n) negated term by term, so the two share one verdict."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     positive_index(nvars, "variable count", least=m + n + 1)
-    lhs = _oracle_lhs(m, n, nvars) if m <= n else scaled(-1, _oracle_lhs(n, m, nvars))
-    rhs = sum_forms(_oracle_sum(m, n, nvars), scaled(-1, _oracle_sum(n, m, nvars)))
-    return lhs == rhs  # forms are canonical, so equal forms are equal polynomials
+    return _certified(min(m, n), max(m, n), nvars)
 
 
 def kp_classical_identity():

@@ -528,22 +528,42 @@ def _small_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _fields(nvars, count):
+    return (f"the expansion in {nvars} variables has {count} monomials of {nvars} exponents, "
+            "more than the ceiling of 2^24 exponents")
+
+
 EXPANSIONS_PAST_THE_CEILING = [
-    (("expand", "--vars", "60", "M[1,1,1,1,1,1,1,1]"), 60, 2558620845),
-    (("expand", "--vars", "4097", "M[1] + M[2,3] - 1/2*M[1,1]"), 4097, 4097 + 2 * 8390656),
+    (("expand", "--vars", "60", "M[1,1,1,1,1,1,1,1]"),
+     "the expansion in 60 variables has 2558620845 monomials, more than the ceiling of 2^24"),
+    (("expand", "--vars", "4097", "M[1] + M[2,3] - 1/2*M[1,1]"),
+     f"the expansion in 4097 variables has {4097 + 2 * 8390656} monomials, "
+     "more than the ceiling of 2^24"),
+    # few monomials, each of N exponent fields: 31.9M, 256M and 4097^2 fields
+    (("expand", "--vars", "400", "M[1,1]"), _fields(400, 79800)),
+    (("expand", "--vars", "800", "M[1,1]"), _fields(800, 319600)),
+    (("expand", "--vars", "4097", "M[1]"), _fields(4097, 4097)),
 ]
 
 
-@pytest.mark.parametrize("argv, nvars, count", EXPANSIONS_PAST_THE_CEILING,
-                         ids=[" ".join(argv)[:40] for argv, _, _ in EXPANSIONS_PAST_THE_CEILING])
-def test_cli_refuses_an_expansion_past_the_ceiling_before_building_it(argv, nvars, count):
+@pytest.mark.parametrize("argv, message", EXPANSIONS_PAST_THE_CEILING,
+                         ids=[" ".join(argv)[:40] for argv, _ in EXPANSIONS_PAST_THE_CEILING])
+def test_cli_refuses_an_expansion_past_the_ceiling_before_building_it(argv, message):
     # M[C] has C(N, len C) monomials in N variables, and no two words share one;
-    # in a child with little memory, as building either expansion would not end
+    # in a child with little memory, as building any of these expansions would not end
     proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
                           text=True, timeout=20, preexec_fn=_small_address_space)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (f"error: the expansion in {nvars} variables has {count} monomials, "
-                           "more than the ceiling of 2^24\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("nvars, expr", [(300, "M[1,1]"), (4096, "M[1]")])
+def test_expansions_at_most_the_field_ceiling_are_admitted(monkeypatch, capsys, nvars, expr):
+    # 13.5M fields, and exactly 2^24; the stub builds nothing
+    import quasisym.oracle
+
+    monkeypatch.setattr(quasisym.oracle, "expand", lambda a, n: f"{n} variables")
+    assert main(["expand", "--vars", str(nvars), expr]) == 0
+    assert capsys.readouterr() == (f"'{nvars} variables'\n", "")
 
 
 KP_PAST_THE_CEILING = [
@@ -553,6 +573,10 @@ KP_PAST_THE_CEILING = [
      "multiplies 232986600 monomial pairs, more than the ceiling of 2^25"),
     (("kp", "--m", "5", "--n", "5", "--certify", "12"), "the certification in 12 variables "
      "multiplies 108116736 monomial pairs, more than the ceiling of 2^25"),
+    (("kp", "--m", "1", "--n", "2", "--certify", "60"), "the certification in 60 variables "
+     "multiplies 5618100 monomial pairs of 60 exponents, more than the ceiling of 2^28 exponents"),
+    (("kp", "--m", "1", "--n", "2", "--certify", "80"), "the certification in 80 variables "
+     "multiplies 17582400 monomial pairs of 80 exponents, more than the ceiling of 2^28 exponents"),
     (("qss-verify", "--N", "25", "--suite", "kp"),
      "the qss kp identity at N=25 is past the ceiling of N=24"),
     (("qss-verify", "--N", "40"), "the qss kp identity at N=40 is past the ceiling of N=24"),
@@ -566,6 +590,18 @@ def test_cli_refuses_a_kp_command_past_its_ceiling_before_building_it(argv, mess
     proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
                           text=True, timeout=20, preexec_fn=_small_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("m, n, nvars", [(4, 5, 11), (1, 2, 50)])
+def test_certifications_under_the_field_ceiling_are_admitted(monkeypatch, capsys, m, n, nvars):
+    # 187,374,187 and 136,531,250 exponent fields, under 2^28; the stub certifies nothing
+    import quasisym.kp
+
+    calls = []
+    monkeypatch.setattr(quasisym.kp, "certify_kp", lambda *args: calls.append(args) or True)
+    assert main(["kp", "--m", str(m), "--n", str(n), "--certify", str(nvars)]) == 0
+    assert calls == [(m, n, nvars)]
+    assert capsys.readouterr().out.endswith(f"oracle certification @N={nvars}: PASS\n")
 
 
 PRODUCTS_PAST_THE_CEILING = [

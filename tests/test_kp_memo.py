@@ -1,9 +1,9 @@
 """The KP family shares its terms across members: the memos change no answer.
 
-`kp_identity` and `certify_kp` build each member from the cached written
-sums S(m, n) and the cached oracle left side.  The references below build
-every member from scratch, as the module did before it shared terms, and
-each test compares the two, cold and warm, in both call orders.  Each
+`kp_identity` builds each member from the cached written sums S(m, n), and
+`certify_kp` keeps one verdict per unordered member.  The references below
+build every member from scratch, as the module did before it shared terms,
+and each test compares the two, cold and warm, in both call orders.  Each
 test starts and ends with `_core.clear_caches()`, which empties every memo
 of the package.
 """
@@ -78,16 +78,14 @@ def test_certification_matches_the_reference_cold_and_warm(order):
                 assert certify_kp(m, n, nvars) is reference_certify_kp(m, n, nvars) is True
 
 
-def test_each_cached_oracle_term_is_the_reference_term():
+def test_the_swapped_member_reads_the_one_verdict():
     for m, n in CERTIFIED:
         nvars = m + n + 1
-        lhs, rhs = reference_oracle_sides(m, n, nvars)
         assert certify_kp(m, n, nvars)
-        low, high = min(m, n), max(m, n)
-        side = kp._oracle_lhs(low, high, nvars)
-        assert side == (lhs if m <= n else -lhs).form
-        total = sum_forms(kp._oracle_sum(m, n, nvars), scaled(-1, kp._oracle_sum(n, m, nvars)))
-        assert total == rhs.form
+        before = kp._certified.cache_info()
+        assert certify_kp(n, m, nvars) is reference_certify_kp(n, m, nvars) is True
+        after = kp._certified.cache_info()
+        assert (after.hits - before.hits, after.currsize) == (1, before.currsize), (m, n)
 
 
 def test_swapped_member_and_diagonal():
@@ -102,14 +100,11 @@ def test_swapped_member_and_diagonal():
 
 
 def test_one_member_at_two_variable_counts():
-    # the oracle memos are keyed by the variable count too
+    # the verdict memo is keyed by the variable count too
     for nvars in (6, 8, 6):
         assert certify_kp(2, 3, nvars)
         assert certify_kp(3, 2, nvars)
-    assert kp._oracle_sum.cache_info().currsize == 4
-    assert kp._oracle_lhs.cache_info().currsize == 2
-    lhs, _ = reference_oracle_sides(2, 3, 8)
-    assert kp._oracle_lhs(2, 3, 8) == lhs.form
+    assert kp._certified.cache_info().currsize == 2
 
 
 def test_results_are_new_objects():
@@ -128,7 +123,7 @@ def test_results_are_new_objects():
 def test_cached_entries_are_read_only():
     kp_identity(1, 2)
     certify_kp(1, 2, 4)
-    for entry in (kp._bullet_sum(1, 2), kp._oracle_sum(1, 2, 4), kp._oracle_lhs(1, 2, 4)):
+    for entry in (kp._bullet_sum(1, 2), kp._bullet_sum(2, 1)):
         nums, _ = entry
         with pytest.raises(TypeError):
             nums[next(iter(nums))] = 5
