@@ -42,6 +42,9 @@ S(m, n) - S(n, m), so member (n, m) is member (m, n) negated term by term
 and the diagonal members subtract a sum from itself.  `_bullet_sum` keeps
 S(m, n) per ordered pair, with read-only numerators as the entry is
 shared, and `_certified` the oracle's verdict per unordered member and N.
+The oracle counts that verdict from the definitions of h and o_1 alone,
+monomial by monomial (`oracle.kp_counts_agree`): it builds no polynomial
+and calls neither `h_product` nor `bullet`, so it checks them.
 """
 
 from __future__ import annotations
@@ -148,20 +151,17 @@ def kp_identity(m: int, n: int):
 
 @lru_cache(maxsize=None)
 def _certified(m: int, n: int, nvars: int) -> bool:
-    """Whether e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n) = e(S(m, n)) - e(S(n, m)),
-    e the expansion in nvars variables, each S expanded term by term."""
+    """Whether both sides have the same coefficient at every monomial in
+    nvars variables, each counted by the oracle from its defining sums."""
     # imported here, so that only `kp --certify` of the KP commands loads the oracle
-    from quasisym.oracle import expand, expand_bullet, poly_mul
+    from quasisym.oracle import kp_counts_agree
 
-    e, h = (lambda q: expand(q, nvars)), complete_h
-    lhs = (poly_mul(e(h(m)), e(h(n + 1))) - poly_mul(e(h(m + 1)), e(h(n)))).form
-    s = lambda a, b: sum_forms(*(expand_bullet(1, h(k), h_product(a - k, b), nvars).form
-                                 for k in range(1, a + 1)))
-    return lhs == sum_forms(s(m, n), scaled(-1, s(n, m)))  # forms are canonical
+    return kp_counts_agree(m, n, nvars)
 
 
 def certify_kp(m: int, n: int, nvars: int) -> bool:
-    """Rebuild both sides of the (m, n) identity with polynomial arithmetic.
+    """Count both sides of the (m, n) identity monomial by monomial in nvars
+    variables, from the definitions of h and o_1 alone.
 
     nvars must reach the identity's degree m + n + 1: below it, equal
     expansions do not decide equality in QSym.  Member (n, m) is member

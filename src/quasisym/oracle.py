@@ -13,10 +13,15 @@ QSym (lengths never exceed weights).
 Inside, a monomial is one packed int (`quasisym._core`): `chain_monomials`
 emits them, a product adds them, and `nums` and `form` show them.  Exponent
 tuples appear only at the boundary: the constructor, `.terms` and printing.
+
+The KP family is certified by counting instead (`kp_counts_agree`): each
+coefficient of both sides, one monomial at a time, from the definitions of
+h and o_1 alone, with no polynomial built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -143,3 +148,52 @@ def certify_equal(a: QSymElem, b: QSymElem) -> bool:
     """Decide a = b in QSym by expanding both at N = max total degree."""
     n = max(a.degree, b.degree, 1)
     return expand(a, n) == expand(b, n)
+
+
+@lru_cache(maxsize=None)
+def h_pair_count(a: int, beta: tuple) -> int:
+    """[x^beta] h_a h_b with b = |beta| - a: the ways to split each exponent
+    of beta between the two factors, [u^a] prod_i (1 + u + ... + u^beta_i).
+    The count depends only on the multiset beta, which callers pass sorted."""
+    if not beta:
+        return int(a == 0)
+    return sum(h_pair_count(a - j, beta[1:]) for j in range(min(a, beta[0]) + 1))
+
+
+def _insort(exps: tuple, e: int) -> tuple:
+    """The sorted nonzero exponents exps with e added (e = 0 adds nothing)."""
+    if not e:
+        return exps
+    i = bisect(exps, e)
+    return exps[:i] + (e,) + exps[i:]
+
+
+def kp_counts_agree(m: int, n: int, nvars: int) -> bool:
+    """Whether h_m h_{n+1} - h_{m+1} h_n and S(m, n) - S(n, m), with
+    S(m, n) = sum_{k=1}^m h_k o_1 (h_{m-k} h_n), have the same coefficient
+    at every monomial x^alpha of degree d = m + n + 1 in nvars variables.
+
+    The chain of h_k o_1 b puts x_1..x_{t-1} in h_k, so x^alpha meets it
+    only at the slots t whose prefix degree P_t = alpha_1 + ... + alpha_{t-1}
+    is k: [x^alpha] S(m, n) sums, over the slots t with alpha_t >= 1 and
+    1 <= P_t <= m, the count of h_{m-P_t} h_n at (alpha_t - 1, alpha_{t+1}, ...).
+    The walk fixes alpha from its last variable down, so P_t is the degree
+    still to place and each suffix adds its slot's terms once."""
+    c = h_pair_count
+
+    def walk(t: int, rest: int, suffix: tuple, rhs: int) -> bool:
+        # x_{t+1}.. are fixed: suffix holds their sorted nonzero exponents and
+        # rhs their slots' terms; x_1..x_t share the degree rest
+        if t == 1 or not rest:  # x_1 takes the rest: alpha is whole
+            alpha = _insort(suffix, rest)
+            return c(m, alpha) - c(m + 1, alpha) == rhs
+        for e in range(rest + 1):  # e = alpha_t, and P_t = rest - e
+            p, term = rest - e, 0
+            if e and p:
+                beta = _insort(suffix, e - 1)
+                term = (c(m - p, beta) if p <= m else 0) - (c(n - p, beta) if p <= n else 0)
+            if not walk(t - 1, p, _insort(suffix, e), rhs + term):
+                return False
+        return True
+
+    return walk(nvars, m + n + 1, (), 0)

@@ -289,7 +289,8 @@ SUITES = {
 # the largest (max weight, max k) a suite runs: past them its cases grow too fast
 _CAPS = {"shuffle-oracle": (4, inf), "weak-nonassoc": (2, 2), "distributivity": (3, inf),
          "recursion": (3, inf), "antipode-bullet": (4, inf), "kp": (8, inf), "qss-kp": (4, inf),
-         "qss-cancel": (4, inf), "qss-y-zero": (4, inf), "qss-closure": (4, inf)}
+         "qss-cancel": (4, inf), "qss-y-zero": (4, inf), "qss-closure": (4, inf),
+         "lemma-iter": (4, 4), "antipode-F": (10, inf), "f-rules": (10, inf)}
 DEFAULT_MAX_K = 2
 
 

@@ -135,7 +135,8 @@ def test_both_cold_cache_rules_empty_every_memo(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     workloads = load("workloads")
     memos = (_core.quasi_shuffle, _core.chain_monomials, composition.compositions_of,
-             oracle._expand_basis, kp._h_words, kp._bullet_sum, kp._certified)
+             oracle._expand_basis, oracle.h_pair_count, kp._h_words, kp._bullet_sum,
+             kp._certified)
     a = QSymElem("F", {(1, 2): 3, (2,): 1})
     for clear in (_core.clear_caches, workloads.clear_caches):
         products.mul(a, a)

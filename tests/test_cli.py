@@ -523,9 +523,13 @@ def test_cli_refuses_an_output_past_the_ceiling_before_building_it(argv, message
     assert proc.stderr == f"error: {message}, more than the ceiling of 2^24\n"
 
 
-def _small_address_space():
-    limit = 300 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def _address_space(megabytes):
+    """A preexec_fn that caps a child's address space."""
+    limit = megabytes * 2**20
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+_small_address_space = _address_space(300)
 
 
 def _fields(nvars, count):
@@ -602,6 +606,15 @@ def test_certifications_under_the_field_ceiling_are_admitted(monkeypatch, capsys
     assert main(["kp", "--m", str(m), "--n", str(n), "--certify", str(nvars)]) == 0
     assert calls == [(m, n, nvars)]
     assert capsys.readouterr().out.endswith(f"oracle certification @N={nvars}: PASS\n")
+
+
+def test_the_largest_admitted_certification_is_counted_in_little_time_and_memory():
+    # the dense products it replaced took 6-11 s and 154 MB on a 2-core VM, and fail under 100 MB
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "kp", "--m", "4", "--n", "5",
+                           "--certify", "11"], capture_output=True, text=True, timeout=10,
+                          preexec_fn=_address_space(100))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "kp m=4 n=5: PASS\noracle certification @N=11: PASS\n", "")
 
 
 PRODUCTS_PAST_THE_CEILING = [
@@ -1012,6 +1025,27 @@ def test_a_lowered_bound_is_noted_on_stderr_and_stdout_is_unchanged():
     assert (code, out.splitlines()[-1]) == (0, "weak-nonassoc: 2048/2048 passed")
     assert err.splitlines() == ["note: weak-nonassoc runs max weight 2, not the 5 asked",
                                 "note: weak-nonassoc runs max k 2, not the 4 asked"]
+
+
+CAPPED_SUITES = [
+    (("lemma-iter", "--max-k", "100"), "lemma-iter: 1024/1024 passed",
+     ["max k 4, not the 100"]),
+    (("lemma-iter", "--max", "100", "--max-k", "100"), "lemma-iter: 4096/4096 passed",
+     ["max weight 4, not the 100", "max k 4, not the 100"]),
+    (("antipode-F", "--max", "14"), "antipode-F: 1023/1023 passed", ["max weight 10, not the 14"]),
+    (("f-rules", "--max", "16"), "f-rules: 2070/2070 passed", ["max weight 10, not the 16"]),
+]
+
+
+@pytest.mark.parametrize("argv, report, lowered", CAPPED_SUITES,
+                         ids=[" ".join(argv) for argv, *_ in CAPPED_SUITES])
+def test_a_suite_asked_past_its_cap_runs_at_the_cap(argv, report, lowered):
+    # in a child with little memory: uncapped, each of these ran past 20 s
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "verify", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_small_address_space)
+    assert (proc.returncode, proc.stdout) == (0, report + "\n")
+    assert proc.stderr.splitlines() == [f"note: {argv[0]} runs {what} asked" for what in lowered]
 
 
 def test_verify_kp_runs_at_its_cap_of_max_weight_8(monkeypatch):

@@ -78,6 +78,14 @@ def test_certification_matches_the_reference_cold_and_warm(order):
                 assert certify_kp(m, n, nvars) is reference_certify_kp(m, n, nvars) is True
 
 
+def test_counted_verdicts_match_the_reference_off_the_diagonal():
+    # N runs to m + n + 3, and to m + n + 2 at m + n = 7, where the
+    # reference's dense products take a second and a half at N = 10
+    for m, n in [(m, n) for m in range(1, 7) for n in range(1, 8 - m) if m != n]:
+        for nvars in range(m + n + 1, m + n + 3 + (m + n < 7)):
+            assert certify_kp(m, n, nvars) is reference_certify_kp(m, n, nvars), (m, n, nvars)
+
+
 def test_the_swapped_member_reads_the_one_verdict():
     for m, n in CERTIFIED:
         nvars = m + n + 1
@@ -147,6 +155,16 @@ def test_a_planted_fault_shows_once_the_memos_are_cleared(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "expand_bullet", wrong_oracle)
     _core.clear_caches()
-    assert not certify_kp(1, 2, 4)
     assert not reference_certify_kp(1, 2, 4)
+    assert certify_kp(1, 2, 4)  # the counting oracle expands nothing
+
+    count = oracle.h_pair_count
+
+    def wrong_count(a, beta):  # one coefficient of h_1 h_3 off by one
+        return count(a, beta) + ((a, beta) == (1, (1, 1, 1, 1)))
+
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "h_pair_count", wrong_count)
+    _core.clear_caches()
+    assert not certify_kp(1, 2, 4)
 
