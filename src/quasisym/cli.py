@@ -162,7 +162,7 @@ def parse(text: str):
 # is refused before anything is built; no golden or test comes near it.
 ATOM_CEILING = 24
 KP_CEILING = 18  # log2 of the 2^(m+n) words of kp's h_m h_{n+1}; 19 took 12.8 s and 1.2 GB
-CERTIFY_CEILING = ATOM_CEILING + 1  # log2 of kp --certify's dense monomial pairs
+CERTIFY_CEILING = 20  # log2 of the monomials kp --certify counts; 2.5 s and 14 MB at most
 QSS_KP_CEILING = 24  # N of qss-verify --suite kp: 2.4 s and 186 MB at 24, 39 s at 40
 
 
@@ -171,16 +171,15 @@ def _log2_reach(basis: str, word) -> int:
     return {"M": 0, "Mt": len(word) - 1, "F": sum(word) - len(word)}[basis]
 
 
+def _refuse(past: bool, what: str, ceiling: int = ATOM_CEILING, unit: str = "") -> None:
+    """Refuse an input before anything is built, when past: what states its size."""
+    if past:
+        raise ValueError(f"{what}, more than the ceiling of 2^{ceiling}{unit}")
+
+
 def _refuse_large(atom: str, log2_terms: int, basis: str = "M", ceiling: int = ATOM_CEILING):
-    if log2_terms > ceiling:
-        raise ValueError(f"{atom} has 2^{log2_terms} terms in the {basis} basis, "
-                         f"more than the ceiling of 2^{ceiling}")
-
-
-def _certify_pairs(m: int, n: int, nvars: int) -> int:
-    """The monomial pairs of e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n) in nvars variables."""
-    e = lambda d: comb(max(nvars, 0) + d - 1, d)  # the monomials of e(h_d), d >= 1
-    return e(m) * e(n + 1) + e(m + 1) * e(n)
+    # in log2: F[2147483648] has 2^(2^31 - 1) terms, a number not to be built
+    _refuse(log2_terms > ceiling, f"{atom} has 2^{log2_terms} terms in the {basis} basis", ceiling)
 
 
 def _refuse_product(op: str, a: QSymElem, b: QSymElem, k: int, pair_bound: int) -> None:
@@ -192,9 +191,7 @@ def _refuse_product(op: str, a: QSymElem, b: QSymElem, k: int, pair_bound: int) 
     wa, wb = set(map(sum, a.nums)), set(map(sum, b.nums))
     weights = {u + v + k for u in wa for v in wb}
     bound = min(pair_bound, sum(1 << min(max(w - 1, 0), ATOM_CEILING + 1) for w in weights))
-    if bound > 1 << ATOM_CEILING:
-        raise ValueError(f"the product {op} can have {bound} terms in the M basis, "
-                         f"more than the ceiling of 2^{ATOM_CEILING}")
+    _refuse(bound > 1 << ATOM_CEILING, f"the product {op} can have {bound} terms in the M basis")
 
 
 def _quasi_shuffle_words(a: QSymElem, b: QSymElem) -> int:
@@ -430,13 +427,9 @@ def _dispatch(args, out) -> int:
 
         a = evaluate(args.expr)  # M[word] has C(N, len word) monomials; no two words share one
         count = sum(comb(max(args.vars, 0), len(word)) for word in a.nums)
-        if count > 1 << ATOM_CEILING:
-            raise ValueError(f"the expansion in {args.vars} variables has {count} monomials, "
-                             f"more than the ceiling of 2^{ATOM_CEILING}")
-        if count * args.vars > 1 << ATOM_CEILING:  # each monomial packs N exponent fields
-            raise ValueError(f"the expansion in {args.vars} variables has {count} monomials of "
-                             f"{args.vars} exponents, more than the ceiling of "
-                             f"2^{ATOM_CEILING} exponents")
+        _refuse(count * args.vars > 1 << ATOM_CEILING,  # each monomial packs N exponent fields
+                f"the expansion in {args.vars} variables has {count} monomials of {args.vars} "
+                "exponents", unit=" exponents")
         out.write(repr(expand(a, args.vars)) + "\n")
         return 0
     if args.command == "convert":
@@ -466,15 +459,11 @@ def _dispatch(args, out) -> int:
         # the report is written whole, so a refused bound leaves no PASS line
         if min(args.m, args.n) > 0:  # else kp_identity refuses the index
             _refuse_large(f"h{args.m} h{args.n + 1}", args.m + args.n, ceiling=KP_CEILING)
-            pairs = _certify_pairs(args.m, args.n, args.certify or 0)
-            if pairs > 1 << CERTIFY_CEILING:
-                raise ValueError(f"the certification in {args.certify} variables multiplies "
-                                 f"{pairs} monomial pairs, more than the ceiling of "
-                                 f"2^{CERTIFY_CEILING}")
-            if pairs * (args.certify or 0) > 1 << (CERTIFY_CEILING + 3):  # two N-field keys a pair
-                raise ValueError(f"the certification in {args.certify} variables multiplies "
-                                 f"{pairs} monomial pairs of {args.certify} exponents, more "
-                                 f"than the ceiling of 2^{CERTIFY_CEILING + 3} exponents")
+            # the monomials of degree d in N variables; certify_kp refuses an N below d
+            nvars, d = args.certify or 0, args.m + args.n + 1
+            count = comb(nvars + d - 1, d) if nvars >= d else 0
+            _refuse(count > 1 << CERTIFY_CEILING, f"the certification in {nvars} variables "
+                    f"counts {count} monomials of degree {d}", CERTIFY_CEILING)
         lhs, rhs = kp_identity(args.m, args.n)
         ok = lhs == rhs
         lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]

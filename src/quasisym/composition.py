@@ -15,7 +15,8 @@ the masks (`sweep`).  Only `compositions_of` is cached.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, combinations, pairwise
+from operator import sub
 
 
 def positive_index(k, what: str, least: int = 1) -> int:
@@ -77,10 +78,13 @@ def reverse(c) -> Composition:
 
 @lru_cache(maxsize=None, typed=True)
 def compositions_of(n: int) -> tuple:
-    """All compositions of weight n, sorted canonically: the refinements of
-    (n,), one per subset of the n - 1 gaps, so 2^(n-1) of them for n >= 1."""
-    return tuple(sorted(refinements((n,) if positive_index(n, "weight", least=0) else ()),
-                        key=canonical_key))
+    """All compositions of weight n, sorted canonically: one per subset of the
+    n - 1 gaps, so 2^(n-1) of them for n >= 1.  Within a length, the order of
+    the cut points is the order of the parts."""
+    if not positive_index(n, "weight", least=0):
+        return (EMPTY,)
+    return tuple(tuple.__new__(Composition, map(sub, (*cuts, n), (0, *cuts)))  # positive parts
+                 for length in range(n) for cuts in combinations(range(1, n), length))
 
 
 def enumerate_compositions(max_weight: int) -> list:

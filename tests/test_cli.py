@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -538,11 +539,8 @@ def _fields(nvars, count):
 
 
 EXPANSIONS_PAST_THE_CEILING = [
-    (("expand", "--vars", "60", "M[1,1,1,1,1,1,1,1]"),
-     "the expansion in 60 variables has 2558620845 monomials, more than the ceiling of 2^24"),
-    (("expand", "--vars", "4097", "M[1] + M[2,3] - 1/2*M[1,1]"),
-     f"the expansion in 4097 variables has {4097 + 2 * 8390656} monomials, "
-     "more than the ceiling of 2^24"),
+    (("expand", "--vars", "60", "M[1,1,1,1,1,1,1,1]"), _fields(60, 2558620845)),
+    (("expand", "--vars", "4097", "M[1] + M[2,3] - 1/2*M[1,1]"), _fields(4097, 4097 + 2 * 8390656)),
     # few monomials, each of N exponent fields: 31.9M, 256M and 4097^2 fields
     (("expand", "--vars", "400", "M[1,1]"), _fields(400, 79800)),
     (("expand", "--vars", "800", "M[1,1]"), _fields(800, 319600)),
@@ -574,13 +572,9 @@ KP_PAST_THE_CEILING = [
     (("kp", "--m", "10", "--n", "9"), "h10 h10 has 2^19 terms in the M basis, "
      "more than the ceiling of 2^18"),
     (("kp", "--m", "2", "--n", "3", "--certify", "40"), "the certification in 40 variables "
-     "multiplies 232986600 monomial pairs, more than the ceiling of 2^25"),
-    (("kp", "--m", "5", "--n", "5", "--certify", "12"), "the certification in 12 variables "
-     "multiplies 108116736 monomial pairs, more than the ceiling of 2^25"),
-    (("kp", "--m", "1", "--n", "2", "--certify", "60"), "the certification in 60 variables "
-     "multiplies 5618100 monomial pairs of 60 exponents, more than the ceiling of 2^28 exponents"),
+     "counts 8145060 monomials of degree 6, more than the ceiling of 2^20"),
     (("kp", "--m", "1", "--n", "2", "--certify", "80"), "the certification in 80 variables "
-     "multiplies 17582400 monomial pairs of 80 exponents, more than the ceiling of 2^28 exponents"),
+     "counts 1837620 monomials of degree 4, more than the ceiling of 2^20"),
     (("qss-verify", "--N", "25", "--suite", "kp"),
      "the qss kp identity at N=25 is past the ceiling of N=24"),
     (("qss-verify", "--N", "40"), "the qss kp identity at N=40 is past the ceiling of N=24"),
@@ -596,9 +590,10 @@ def test_cli_refuses_a_kp_command_past_its_ceiling_before_building_it(argv, mess
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("m, n, nvars", [(4, 5, 11), (1, 2, 50)])
-def test_certifications_under_the_field_ceiling_are_admitted(monkeypatch, capsys, m, n, nvars):
-    # 187,374,187 and 136,531,250 exponent fields, under 2^28; the stub certifies nothing
+@pytest.mark.parametrize("m, n, nvars", [(4, 5, 11), (1, 2, 50), (5, 5, 12), (1, 2, 60), (1, 2, 69)])
+def test_certifications_under_the_monomial_ceiling_are_admitted(monkeypatch, capsys, m, n, nvars):
+    # 184,756, 292,825, 705,432, 595,665 and 1,028,790 monomials, at most 2^20 (N = 70 passes
+    # it); the stub certifies nothing
     import quasisym.kp
 
     calls = []
@@ -609,12 +604,14 @@ def test_certifications_under_the_field_ceiling_are_admitted(monkeypatch, capsys
 
 
 def test_the_largest_admitted_certification_is_counted_in_little_time_and_memory():
-    # the dense products it replaced took 6-11 s and 154 MB on a 2-core VM, and fail under 100 MB
-    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "kp", "--m", "4", "--n", "5",
-                           "--certify", "11"], capture_output=True, text=True, timeout=10,
+    # m + n = 10 is the largest sum admitted at N >= m + n + 1, and N = 12 the largest N for it:
+    # 705,432 monomials, 1.0 s and 15 MB cold on a 2-core VM.  The dense products that counting
+    # replaced took 6-11 s and 154 MB at (4, 5, 11), and fail under 100 MB
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "kp", "--m", "5", "--n", "5",
+                           "--certify", "12"], capture_output=True, text=True, timeout=10,
                           preexec_fn=_address_space(100))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "kp m=4 n=5: PASS\noracle certification @N=11: PASS\n", "")
+        0, "kp m=5 n=5: PASS\noracle certification @N=12: PASS\n", "")
 
 
 PRODUCTS_PAST_THE_CEILING = [
@@ -663,17 +660,35 @@ def test_the_product_bounds_at_the_ceiling():
             mul(monomial("M", a), monomial("M", b)).nums.values())
 
 
-def test_certify_counts_the_monomial_pairs_of_its_left_side():
-    from quasisym.cli import CERTIFY_CEILING, _certify_pairs
+def test_certify_counts_the_monomials_of_the_identity_degree():
+    # C(N+d-1, d): the monomials of degree d in N variables, one per term of e(h_d)
     from quasisym.oracle import expand
 
-    e = lambda d, nvars: len(expand(complete_h(d), nvars).nums)
-    for m, n, nvars in [(1, 1, 3), (1, 2, 4), (2, 1, 5), (2, 2, 6), (2, 3, 7)]:
-        assert _certify_pairs(m, n, nvars) == (
-            e(m, nvars) * e(n + 1, nvars) + e(m + 1, nvars) * e(n, nvars))
-    assert _certify_pairs(2, 2, 6) == 2352  # the largest that the bench and tests run
-    assert _certify_pairs(4, 5, 11) == 17034017 <= 1 << CERTIFY_CEILING
-    assert _certify_pairs(2, 3, 0) == _certify_pairs(2, 3, -4) == 0
+    for d, nvars in [(3, 3), (4, 4), (4, 5), (5, 6), (6, 7), (6, 2)]:
+        assert comb(nvars + d - 1, d) == len(expand(complete_h(d), nvars).nums)
+
+
+def _old_certify_admits(m, n, nvars):
+    """The refusal that counted the monomial pairs of the dense left side
+    e(h_m) e(h_{n+1}) - e(h_{m+1}) e(h_n): 2^25 pairs and 2^28 pairs x N fields."""
+    e = lambda d: comb(max(nvars, 0) + d - 1, d)
+    pairs = e(m) * e(n + 1) + e(m + 1) * e(n)
+    return pairs <= 1 << 25 and pairs * nvars <= 1 << 28
+
+
+def test_certify_refuses_no_member_that_the_pair_rule_admitted(monkeypatch, capsys):
+    # every member kp admits, at every N up to the pair rule's first refusal; stubs build nothing
+    import quasisym.kp
+
+    monkeypatch.setattr(quasisym.kp, "kp_identity", lambda m, n: (0, 0))
+    monkeypatch.setattr(quasisym.kp, "certify_kp", lambda m, n, nvars: True)
+    admitted = 0
+    for m, n in ((m, s - m) for s in range(2, 19) for m in range(1, s)):
+        nvars = 0
+        while _old_certify_admits(m, n, nvars):
+            assert main(["kp", "--m", str(m), "--n", str(n), "--certify", str(nvars)]) == 0
+            nvars, admitted = nvars + 1, admitted + 1
+    assert capsys.readouterr().err == "" and admitted > 1000
 
 
 def test_atoms_below_the_ceiling_or_with_one_term_are_built():

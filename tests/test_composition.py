@@ -213,6 +213,12 @@ def test_compositions_of_equals_the_reference_in_order():
         assert all(type(c) is Composition for c in got)
 
 
+def test_compositions_of_equals_the_sorted_refinements_of_one_part():
+    # the enumeration by cut points replaced this sort of the refinement sweep
+    for n in range(15):
+        assert compositions_of(n) == tuple(sorted(refinements((n,) if n else ()), key=canonical_key))
+
+
 def test_coarsenings_refinements_and_blocks_equal_the_reference():
     for c in enumerate_compositions(8):
         assert coarsenings(c) == ref_coarsenings(c)

@@ -121,7 +121,7 @@ def off_by_one(k, a, b):  # a wrong written sum: one term too many
 PLANTED = [
     (oracle, "chain_monomials", lambda *args: (), lambda: expand(monomial("M", (1, 2)), 3)),
     (kp, "bullet", off_by_one, lambda: kp.kp_identity(1, 2)),
-    (composition, "sweeps", lambda terms, *passes: {}, lambda: composition.compositions_of(4)),
+    (composition, "combinations", lambda pool, r: iter(()), lambda: composition.compositions_of(4)),
 ]
 
 
