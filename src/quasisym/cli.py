@@ -412,10 +412,16 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error {exc}\n")
         return 2
-    except (ValueError, TypeError, RecursionError, MemoryError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         # a RecursionError is an expression nested too deep to walk
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
+    except MemoryError:  # reported below, where the failed call's frames are freed
+        pass
+    if "quasisym._core" in sys.modules:  # and so are the memos, which may hold the rest
+        sys.modules["quasisym._core"].clear_caches()
+    sys.stderr.write("error: MemoryError\n")
+    return 2
 
 
 def _dispatch(args, out) -> int:
@@ -425,8 +431,10 @@ def _dispatch(args, out) -> int:
     if args.command == "expand":
         from quasisym.oracle import expand
 
-        a = evaluate(args.expr)  # M[word] has C(N, len word) monomials; no two words share one
-        count = sum(comb(max(args.vars, 0), len(word)) for word in a.nums)
+        node = parse(args.expr)  # a parse error first, then a bad N, before anything is built
+        positive_index(args.vars, "variable count")
+        a = eval_expr(node)  # M[word] has C(N, len word) monomials; no two words share one
+        count = sum(comb(args.vars, len(word)) for word in a.nums)
         _refuse(count * args.vars > 1 << ATOM_CEILING,  # each monomial packs N exponent fields
                 f"the expansion in {args.vars} variables has {count} monomials of {args.vars} "
                 "exponents", unit=" exponents")
@@ -456,23 +464,23 @@ def _dispatch(args, out) -> int:
     if args.command == "kp":
         from quasisym.kp import certify_kp, kp_identity, kp_sigma, sigma_render
 
-        # the report is written whole, so a refused bound leaves no PASS line
-        if min(args.m, args.n) > 0:  # else kp_identity refuses the index
-            _refuse_large(f"h{args.m} h{args.n + 1}", args.m + args.n, ceiling=KP_CEILING)
-            # the monomials of degree d in N variables; certify_kp refuses an N below d
-            nvars, d = args.certify or 0, args.m + args.n + 1
-            count = comb(nvars + d - 1, d) if nvars >= d else 0
+        # every bound before anything is built, in the order kp_identity and certify_kp check them
+        m, n = positive_index(args.m, "identity index m"), positive_index(args.n, "identity index n")
+        _refuse_large(f"h{m} h{n + 1}", m + n, ceiling=KP_CEILING)
+        if args.certify is not None:  # C(N+d-1, d) monomials of the degree d = m + n + 1
+            nvars = positive_index(args.certify, "variable count", least=m + n + 1)
+            count = comb(nvars + m + n, m + n + 1)
             _refuse(count > 1 << CERTIFY_CEILING, f"the certification in {nvars} variables "
-                    f"counts {count} monomials of degree {d}", CERTIFY_CEILING)
-        lhs, rhs = kp_identity(args.m, args.n)
+                    f"counts {count} monomials of degree {m + n + 1}", CERTIFY_CEILING)
+        lhs, rhs = kp_identity(m, n)
         ok = lhs == rhs
-        lines = [f"kp m={args.m} n={args.n}: {'PASS' if ok else 'FAIL'}\n"]
+        lines = [f"kp m={m} n={n}: {'PASS' if ok else 'FAIL'}\n"]
         if ok and args.certify is not None:
-            ok = certify_kp(args.m, args.n, args.certify)
+            ok = certify_kp(m, n, args.certify)
             lines.append(f"oracle certification @N={args.certify}: {'PASS' if ok else 'FAIL'}\n")
         if args.pde:
-            lines.append(sigma_render(kp_sigma(args.m, args.n), normalize=True) + " = 0\n")
-        out.write("".join(lines))
+            lines.append(sigma_render(kp_sigma(m, n), normalize=True) + " = 0\n")
+        out.write("".join(lines))  # whole, so that an error leaves no PASS line
         return 0 if ok else 1
 
     if args.command == "qss-verify":

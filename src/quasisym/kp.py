@@ -41,10 +41,10 @@ sum_{k=1}^m h_k o (h_{m-k} h_n), member (m, n) has the right side
 S(m, n) - S(n, m), so member (n, m) is member (m, n) negated term by term
 and the diagonal members subtract a sum from itself.  `_bullet_sum` keeps
 S(m, n) per ordered pair, with read-only numerators as the entry is
-shared, and `_certified` the oracle's verdict per unordered member and N.
-The oracle counts that verdict from the definitions of h and o_1 alone,
-monomial by monomial (`oracle.kp_counts_agree`): it builds no polynomial
-and calls neither `h_product` nor `bullet`, so it checks them.
+shared, and `oracle.kp_counts_agree` keeps the verdict per unordered
+member and N, which it counts from the definitions of h and o_1 alone,
+monomial by monomial: it builds no polynomial and calls neither
+`h_product` nor `bullet`, so it checks them.
 """
 
 from __future__ import annotations
@@ -149,16 +149,6 @@ def kp_identity(m: int, n: int):
     return lhs, QSymElem._raw("M", *rhs)
 
 
-@lru_cache(maxsize=None)
-def _certified(m: int, n: int, nvars: int) -> bool:
-    """Whether both sides have the same coefficient at every monomial in
-    nvars variables, each counted by the oracle from its defining sums."""
-    # imported here, so that only `kp --certify` of the KP commands loads the oracle
-    from quasisym.oracle import kp_counts_agree
-
-    return kp_counts_agree(m, n, nvars)
-
-
 def certify_kp(m: int, n: int, nvars: int) -> bool:
     """Count both sides of the (m, n) identity monomial by monomial in nvars
     variables, from the definitions of h and o_1 alone.
@@ -168,7 +158,10 @@ def certify_kp(m: int, n: int, nvars: int) -> bool:
     (m, n) negated term by term, so the two share one verdict."""
     m, n = positive_index(m, "identity index m"), positive_index(n, "identity index n")
     positive_index(nvars, "variable count", least=m + n + 1)
-    return _certified(min(m, n), max(m, n), nvars)
+    # imported here, so that only `kp --certify` of the KP commands loads the oracle
+    from quasisym.oracle import kp_counts_agree
+
+    return kp_counts_agree(min(m, n), max(m, n), nvars)
 
 
 def kp_classical_identity():

@@ -14,9 +14,9 @@ Inside, a monomial is one packed int (`quasisym._core`): `chain_monomials`
 emits them, a product adds them, and `nums` and `form` show them.  Exponent
 tuples appear only at the boundary: the constructor, `.terms` and printing.
 
-The KP family is certified by counting instead (`kp_counts_agree`): each
-coefficient of both sides, one monomial at a time, from the definitions of
-h and o_1 alone, with no polynomial built.
+The KP family is certified by counting instead (`kp_counts_agree`, its
+verdict memoized per (m, n, N)): each coefficient of both sides, one monomial
+at a time, from the definitions of h and o_1 alone, with no polynomial built.
 """
 
 from __future__ import annotations
@@ -168,6 +168,7 @@ def _insort(exps: tuple, e: int) -> tuple:
     return exps[:i] + (e,) + exps[i:]
 
 
+@lru_cache(maxsize=None)
 def kp_counts_agree(m: int, n: int, nvars: int) -> bool:
     """Whether h_m h_{n+1} - h_{m+1} h_n and S(m, n) - S(n, m), with
     S(m, n) = sum_{k=1}^m h_k o_1 (h_{m-k} h_n), have the same coefficient

@@ -121,7 +121,7 @@ def test_benchmark_clear_caches_empties_the_kp_memos(monkeypatch):
     # each certify pass starts cold only if the family's shared terms go too
     monkeypatch.setattr(sys, "path", list(sys.path))
     workloads = load("workloads")
-    memos = (kp._h_words, kp._bullet_sum, kp._certified)
+    memos = (kp._h_words, kp._bullet_sum, oracle.kp_counts_agree)
     for _ in range(2):
         kp.kp_identity(2, 3)
         assert kp.certify_kp(3, 2, 6)
@@ -136,7 +136,7 @@ def test_both_cold_cache_rules_empty_every_memo(monkeypatch):
     workloads = load("workloads")
     memos = (_core.quasi_shuffle, _core.chain_monomials, composition.compositions_of,
              oracle._expand_basis, oracle.h_pair_count, kp._h_words, kp._bullet_sum,
-             kp._certified)
+             oracle.kp_counts_agree)
     a = QSymElem("F", {(1, 2): 3, (2,): 1})
     for clear in (_core.clear_caches, workloads.clear_caches):
         products.mul(a, a)

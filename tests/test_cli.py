@@ -590,6 +590,23 @@ def test_cli_refuses_a_kp_command_past_its_ceiling_before_building_it(argv, mess
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
+REFUSED_BEFORE_BUILDING = [
+    (("kp", "--m", "15", "--n", "1", "--certify", "9"), "an integer >= 17, got 9"),
+    (("kp", "--m", "8", "--n", "9", "--certify", "5"), "an integer >= 18, got 5"),
+    (("expand", "--vars", "0", "h23"), "an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_BEFORE_BUILDING,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_BEFORE_BUILDING])
+def test_a_bad_variable_count_is_refused_before_anything_is_built(argv, message):
+    # building kp's member or h23 first takes seconds and runs out of 100 MB
+    proc = subprocess.run([sys.executable, "-m", "quasisym.cli", *argv], capture_output=True,
+                          text=True, timeout=5, preexec_fn=_address_space(100))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: variable count must be {message}\n")
+
+
 @pytest.mark.parametrize("m, n, nvars", [(4, 5, 11), (1, 2, 50), (5, 5, 12), (1, 2, 60), (1, 2, 69)])
 def test_certifications_under_the_monomial_ceiling_are_admitted(monkeypatch, capsys, m, n, nvars):
     # 184,756, 292,825, 705,432, 595,665 and 1,028,790 monomials, at most 2^20 (N = 70 passes
@@ -684,11 +701,18 @@ def test_certify_refuses_no_member_that_the_pair_rule_admitted(monkeypatch, caps
     monkeypatch.setattr(quasisym.kp, "certify_kp", lambda m, n, nvars: True)
     admitted = 0
     for m, n in ((m, s - m) for s in range(2, 19) for m in range(1, s)):
-        nvars = 0
+        nvars, d = 0, m + n + 1
         while _old_certify_admits(m, n, nvars):
-            assert main(["kp", "--m", str(m), "--n", str(n), "--certify", str(nvars)]) == 0
-            nvars, admitted = nvars + 1, admitted + 1
-    assert capsys.readouterr().err == "" and admitted > 1000
+            argv = ["kp", "--m", str(m), "--n", str(n), "--certify", str(nvars)]
+            if nvars < d:  # below the degree, which the real certify_kp refused too
+                assert main(argv) == 2
+                assert capsys.readouterr().err == (
+                    f"error: variable count must be an integer >= {d}, got {nvars}\n")
+            else:
+                assert main(argv) == 0
+                admitted += 1
+            nvars += 1
+    assert capsys.readouterr().err == "" and admitted > 500  # 580
 
 
 def test_atoms_below_the_ceiling_or_with_one_term_are_built():
@@ -773,6 +797,16 @@ def test_running_out_of_memory_exits_2(monkeypatch):
 
     monkeypatch.setattr(quasisym.cli, "evaluate", out_of_memory)
     assert run_cli("eval", "M[1]") == (2, "", "error: MemoryError\n")
+
+
+def test_a_command_that_runs_out_of_memory_exits_2():
+    # h8 h10 is under kp's ceiling, but not under 100 MB: the error line is written once
+    # the failed call's frames and the memos are freed, so the report itself has memory
+    for _ in range(3):
+        proc = subprocess.run([sys.executable, "-m", "quasisym.cli", "kp", "--m", "8", "--n", "9",
+                               "--pde"], capture_output=True, text=True, timeout=60,
+                              preexec_fn=_address_space(100))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: MemoryError\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,17 @@ def test_command_loads_no_suite_or_heavy_module(argv):
     assert not loaded & {"quasisym.suites", "quasisym.qss", "dataclasses", "json", *ARGV_PARSING}
 
 
+@pytest.mark.parametrize("argv, loads_the_oracle", [
+    (("kp", "--m", "1", "--n", "2"), False),
+    (("kp", "--m", "1", "--n", "2", "--pde"), False),
+    (("kp", "--m", "1", "--n", "2", "--certify", "5"), True),
+    (("kp", "--m", "1", "--n", "2", "--certify", "3"), False),  # refused: N is below the degree 4
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_only_a_kp_certification_loads_the_oracle(argv, loads_the_oracle):
+    # certify_kp imports the oracle itself, and the CLI refuses a bad N before calling it
+    assert ("quasisym.oracle" in loaded_by(*argv)) is loads_the_oracle
+
+
 # the coefficients are int numerators over one denominator: no command parses
 # or prints a rational through fractions, which loads decimal and numbers too
 RATIONAL = "3/2*M[1,2] - 1/3*F[2,1]"
