@@ -256,7 +256,7 @@ class Sparse:
 
     __slots__ = ("space", "nums", "den")
 
-    def __init__(self, space, terms=None):
+    def __init__(self, terms=None, space=None):
         _set_space(self, space)  # the key check may read it
         clean = {}
         for key, coeff in (terms or {}).items():
@@ -371,7 +371,7 @@ class QSymElem(Sparse):
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
-        Sparse.__init__(self, basis, terms)
+        Sparse.__init__(self, terms, basis)
 
     _key = staticmethod(Composition)
     # a stored word is valid by construction: shown as a Composition unchecked

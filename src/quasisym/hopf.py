@@ -25,9 +25,6 @@ class TensorElem(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        Sparse.__init__(self, None, terms)
-
     @staticmethod
     def _key(key) -> tuple:
         left, right = key

@@ -181,9 +181,6 @@ class PowerSums(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        Sparse.__init__(self, None, terms)
-
     @staticmethod
     def _key(parts) -> tuple:
         if not parts:
@@ -203,9 +200,6 @@ class Sigma(Sparse):
     t-indices of one phi; the product juxtaposes, order kept."""
 
     __slots__ = ()
-
-    def __init__(self, terms=None):
-        Sparse.__init__(self, None, terms)
 
     @staticmethod
     def _key(factors) -> tuple:

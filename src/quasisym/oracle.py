@@ -42,7 +42,7 @@ class Polynomial(Sparse):
     _spaces = "variable counts"
 
     def __init__(self, n: int, terms=None):
-        Sparse.__init__(self, positive_index(n, "variable count", least=0), terms)
+        Sparse.__init__(self, terms, positive_index(n, "variable count", least=0))
 
     def _key(self, mono) -> int:
         return pack(exponent_vector(mono, self.n))

@@ -7,8 +7,10 @@ single PASS/FAIL line (visible with `pytest -s` or in failure output).
 
 import subprocess
 import sys
+from itertools import product
 
 from quasisym.elements import monomial, to_basis
+from quasisym.kp import certify_kp
 from quasisym.oracle import expand
 from quasisym.qss import pbup_transcription, qss_bullet, qss_one, qss_p, t_substitution_check
 from quasisym.suites import (
@@ -44,12 +46,12 @@ def _check(number, name, cases):
 
 def test_criterion_01_bullet_oracle_equivalence():
     _check(1, "bullet/hat structure constants vs direct summation (w<=4, k<=3, N=10)",
-           suite_bullet_oracle(max_total_weight=4, max_k=3, nvars=10))
+           suite_bullet_oracle(max_total_weight=4, max_k=3))
 
 
 def test_criterion_02_quasi_shuffle_oracle_equivalence():
     _check(2, "quasi-shuffle vs polynomial product (w<=4, N=8)",
-           suite_shuffle_oracle(max_weight=4, nvars=8))
+           suite_shuffle_oracle(max_weight=4))
 
 
 def test_criterion_03_weak_nonassociativity():
@@ -75,7 +77,7 @@ def test_criterion_06_bialgebra_laws():
 
 def test_criterion_07_product_recursion():
     _check(7, "M_{C(k)} a = m_k((M_C (x) 1) Delta(a)) (w<=4 each)",
-           suite_recursion(max_prefix_weight=3, max_k=3, max_weight_a=4))
+           suite_recursion(max_prefix_weight=3, max_k=3))
 
 
 def test_criterion_08_antipode():
@@ -98,8 +100,10 @@ def test_criterion_09_fundamental_basis():
 
 
 def test_criterion_10_kp_identities():
-    cases = list(suite_kp(max_mn=5, certify_upto=3))
-    cases += list(suite_kp_classical(certify_nvars=4))
+    cases = list(suite_kp(max_mn=5))
+    cases += [(f"kp m={m} n={n} oracle@N={m + n + 2}", certify_kp(m, n, m + n + 2))
+              for m, n in product(range(1, 4), repeat=2)]
+    cases += list(suite_kp_classical())
     _check(10, "KP family m,n<=5 exact, oracle m,n<=3; classical 4/3/6/6 + oracle N=4", cases)
 
 
@@ -110,7 +114,7 @@ def test_criterion_11_newton_schur():
 
 def test_criterion_12_qss():
     cases = list(suite_qss_kp(max_n=4))
-    cases += list(suite_qss_y_zero(max_weight=4, nvars=4))
+    cases += list(suite_qss_y_zero(max_weight=4))
     cases += list(suite_qss_cancel(max_weight=4, nvars=4))
     for r in (1, 2, 3):
         for s in (1, 2, 3):

@@ -375,7 +375,8 @@ def test_cli_verify_unknown_suite_exit_2():
 def test_cli_verify_failure_exit_1(monkeypatch):
     import quasisym.suites
 
-    monkeypatch.setitem(quasisym.suites.SUITES, "kp", (lambda mw, mk: [("rigged case", False)], 3))
+    monkeypatch.setitem(quasisym.suites.SUITES, "kp", (lambda mw, mk: [("rigged case", False)], 3,
+                                                      quasisym.suites.SUITES["kp"][2]))
     code, out, _ = run_cli("verify", "kp")
     assert code == 1
     assert "FAIL kp: rigged case" in out
@@ -464,14 +465,20 @@ def test_cli_domain_error_exit_2():
     assert "variable count must be an integer >= 1" in err
 
 
-@pytest.mark.parametrize("expr, pos", [("M[1,]", 0), ("M[,]", 0), ("2 * M[1,,2]", 4)])
-def test_an_empty_composition_part_is_a_parse_error(expr, pos):
-    with pytest.raises(ParseError, match="the composition has an empty part") as err:
+EMPTY_PART = "the composition has an empty part"
+
+
+@pytest.mark.parametrize("expr, pos, message", [
+    ("M[1,]", 0, EMPTY_PART), ("M[,]", 0, EMPTY_PART), ("2 * M[1,,2]", 4, EMPTY_PART),
+    ("M[1 2]", 0, "composition part '1 2' is not one integer"),
+])
+def test_a_malformed_composition_part_is_a_parse_error(expr, pos, message):
+    with pytest.raises(ParseError) as err:
         parse(expr)
-    assert err.value.pos == pos
+    assert (err.value.pos, str(err.value)) == (pos, f"at position {pos}: {message}")
     code, out, err = run_cli("eval", expr)
     assert (code, out) == (2, "")
-    assert err == f"parse error at position {pos}: the composition has an empty part\n"
+    assert err == f"parse error at position {pos}: {message}\n"
 
 
 def test_cli_refuses_an_exponent_past_the_monomial_width():
@@ -1102,7 +1109,8 @@ def test_verify_kp_runs_at_its_cap_of_max_weight_8(monkeypatch):
 
     ran = []
     monkeypatch.setitem(quasisym.suites.SUITES, "kp",
-                        (lambda mw, mk: ran.append(mw) or [("stub case", True)], 3))
+                        (lambda mw, mk: ran.append(mw) or [("stub case", True)], 3,
+                         quasisym.suites.SUITES["kp"][2]))
     assert run_cli("verify", "kp", "--max", "9") == (
         0, "kp: 1/1 passed\n", "note: kp runs max weight 8, not the 9 asked\n")
     assert run_cli("verify", "kp", "--max", "8") == (0, "kp: 1/1 passed\n", "")
@@ -1115,3 +1123,15 @@ def test_verify_all_at_its_default_bounds_writes_nothing_to_stderr():
     code, out, err = run_cli("verify", "all")
     assert code == 0 and err == ""
     assert len(out.splitlines()) == len(SUITES)
+
+
+def test_no_suite_function_has_a_parameter_default():
+    # a suite's bounds are its SUITES row: a default would be a second, unread copy
+    import inspect
+
+    import quasisym.suites
+
+    runners = [f for name, f in vars(quasisym.suites).items() if name.startswith("suite_")]
+    assert len(runners) == len(quasisym.suites.SUITES)
+    assert [(f.__name__, p.name) for f in runners
+            for p in inspect.signature(f).parameters.values() if p.default is not p.empty] == []
